@@ -49,6 +49,7 @@ extern "C" {
 #define MPF_EORPHANED -12   /* receive on an LNVC whose last sender died */
 #define MPF_EAGAIN -13      /* admission control rejected the send */
 #define MPF_EBUSY -14       /* poll set already has a waiter */
+#define MPF_EDEADLK -15     /* blocked call abandoned: exhaustion deadlock */
 #define MPF_ENOTINIT -100
 
 /* Initialize the facility; sizes the shared region from the two maxima

@@ -12,7 +12,8 @@ namespace mpf {
 
 /// What message_send() does when the block free list runs dry.
 enum class BlockPolicy : std::uint32_t {
-  wait,  ///< block until receivers/closes recycle blocks (default)
+  wait,  ///< block until receivers/closes recycle blocks (default);
+         ///  Status::deadlock when no live process ever can (DESIGN.md §7)
   fail,  ///< return Status::out_of_blocks immediately
 };
 
@@ -120,7 +121,9 @@ struct Config {
   /// virtual time under the simulator).  A waiter that has watched the
   /// same holder sit on an arena lock for this long probes the holder's
   /// liveness and seizes the lock if the holder is dead; a sender parked
-  /// on pool exhaustion re-checks receiver liveness at this period.
+  /// on pool exhaustion re-checks receiver liveness at this period, and
+  /// declares a deadlock after two such windows in which every live
+  /// process stayed blocked (DESIGN.md §7).
   /// 0 disables suspicion entirely (locks may wedge if a holder dies).
   std::uint64_t suspicion_ns = 100'000'000;  // 100 ms
 

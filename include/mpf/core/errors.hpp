@@ -26,6 +26,8 @@ enum class Status : int {
   lnvc_orphaned,      ///< receive on a circuit whose last sender died
   rejected,           ///< send refused by admission control (quota exceeded)
   busy,               ///< resource already in exclusive use (pollset waiter)
+  deadlock,           ///< blocked op abandoned: every process it waits on is
+                      ///< itself blocked, so nothing can ever free a block
 };
 
 /// Human-readable name of a status code.

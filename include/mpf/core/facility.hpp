@@ -274,6 +274,11 @@ class Facility {
 
   // --- message transfer ---------------------------------------------------
   /// Asynchronous send of `len` bytes from `data` (paper: message_send).
+  /// Waits (BlockPolicy::wait, AdmissionPolicy::block) end in ok, or
+  /// out_of_blocks / rejected per policy, closed, peer_failed when the
+  /// receivers that could free space died, or deadlock when every live
+  /// process is blocked on something only a blocked process could provide
+  /// (DESIGN.md §7).
   Status send(ProcessId pid, LnvcId id, const void* data, std::size_t len);
   /// Scatter-gather send: the spans in `iov` are concatenated into one
   /// message (same semantics as send of the concatenation).
@@ -319,7 +324,10 @@ class Facility {
                         std::size_t cap) const;
   /// Blocking receive into `buf` (capacity `cap`); the delivered length is
   /// written to `*out_len`.  Returns Status::truncated (after copying the
-  /// prefix) when the message exceeds `cap`.
+  /// prefix) when the message exceeds `cap`; closed when the circuit dies
+  /// under the wait, lnvc_orphaned when its last sender died, and deadlock
+  /// when every sender is itself blocked in a deadlocked wait (DESIGN.md
+  /// §7).
   Status receive(ProcessId pid, LnvcId id, void* buf, std::size_t cap,
                  std::size_t* out_len);
   /// Non-blocking variant: Status::ok with *out_len, or no message =>
@@ -664,6 +672,51 @@ class Facility {
   /// (the exhaustion monitor's peer_failed condition).  `self` counts as
   /// live.  Takes registry + descriptor locks; call with no locks held.
   bool no_live_receiver(ProcessId self);
+
+  // Exhaustion-deadlock detector (deadlock.cpp; DESIGN.md §7).
+  /// One pass over every process's wait record plus the progress
+  /// counters.  Two equal candidate scans one suspicion window apart are
+  /// the detector's verdict.
+  struct WaitScan {
+    bool valid = false;
+    std::uint64_t sends = 0;
+    std::uint64_t receives = 0;
+    std::uint64_t free_blocks = 0;  ///< shard free lists + magazines
+    std::uint64_t free_msgs = 0;
+    std::vector<std::uint64_t> words;  ///< wait_word per pid; 0 = none
+    bool operator==(const WaitScan&) const = default;
+  };
+  /// The wait record of one blocking call: arm() publishes it the first
+  /// time the call must sleep (never on the fast path); the destructor
+  /// clears it on every way out of the call.
+  class WaitRecord {
+   public:
+    WaitRecord(const Facility& f, ProcessId pid) noexcept
+        : slot_(f.pslot(pid)) {}
+    WaitRecord(const WaitRecord&) = delete;
+    WaitRecord& operator=(const WaitRecord&) = delete;
+    ~WaitRecord();
+    /// Publish (kind, circuit) for this call; later calls are no-ops.
+    void arm(detail::WaitKind kind, LnvcId id, std::uint32_t gen) noexcept;
+    /// True once a detector's verdict named this call a deadlock member.
+    [[nodiscard]] bool doomed() const noexcept;
+
+   private:
+    detail::ProcSlot& slot_;
+    bool armed_ = false;
+  };
+  /// Fill *out and return true when the facility looks deadlocked: every
+  /// live registered process sits in a recorded wait, at least one is an
+  /// exhaustion wait, and every receive-blocked member's circuit has
+  /// nothing deliverable for it and only members as senders (at least
+  /// one).  Takes descriptor locks; call with no locks held.
+  bool wait_scan(ProcessId self, WaitScan* out);
+  /// Run by an exhaustion waiter whose suspicion window expired, with no
+  /// locks held.  Compares a fresh scan against *prev (the previous
+  /// window's); on a match dooms every member, wakes them, and returns
+  /// true (the caller returns Status::deadlock).  Otherwise stores the
+  /// fresh scan in *prev and returns false.
+  bool deadlock_probe(ProcessId pid, WaitScan* prev);
   // Intent-journal arm/disarm (inline hot-path helpers).
   void journal_gather(ProcessId pid, const detail::GatherChain& chain,
                       shm::Offset msg);

@@ -397,6 +397,22 @@ struct ViewSlot {
 /// Status::table_full beyond this).
 inline constexpr std::uint32_t kMaxViews = 4;
 
+/// What a process is blocked on, for the exhaustion-deadlock detector
+/// (ProcSlot::wait_word; DESIGN.md §7).  Only waits with no deadline are
+/// recorded: a deadline always ends the wait on its own.
+enum class WaitKind : std::uint32_t {
+  none = 0,
+  exhaustion = 1,  ///< alloc_message: every shard and magazine dry
+  quota = 2,       ///< quota_admit: parked on a full circuit quota
+  receive = 3,     ///< claim_message: nothing deliverable on the circuit
+};
+
+/// ProcSlot::wait_word layout: bits 0-1 the WaitKind, bit 2 the verdict
+/// (set by a detector's CAS), bits 8+ the owner's per-call sequence.
+inline constexpr std::uint64_t kWaitKindMask = 3;
+inline constexpr std::uint64_t kWaitDoomed = 4;
+inline constexpr unsigned kWaitSeqShift = 8;
+
 /// Per-process recovery slot: registration, OS identity, waiting-monitor
 /// membership, and the single-record intent journal recovery rolls forward
 /// or back.  Journal discipline: operands first, `op` last (the commit
@@ -464,6 +480,19 @@ struct alignas(64) ProcSlot {
   std::atomic<std::uint32_t> in_exhaustion;
   std::atomic<std::uint32_t> in_activity;
 
+  /// Wait record: what this process is blocked on during one blocking call
+  /// (WaitKind, plus the circuit for quota and receive waits), written only
+  /// on the blocking slow paths and cleared when the call returns.  The
+  /// operands are stored before wait_word (release); a scanner reads the
+  /// word (acquire), the operands, then the word again.  A detector dooms
+  /// a member by CAS-ing kWaitDoomed onto the exact word it scanned, so a
+  /// member that has since returned (new sequence, or 0) is never doomed
+  /// by a stale scan.
+  std::atomic<std::uint64_t> wait_word;
+  std::atomic<std::uint32_t> wait_lnvc;
+  std::atomic<std::uint32_t> wait_gen;
+  std::uint64_t wait_seq;  ///< owner-only call counter for wait_word
+
   /// Quota-reservation journal: a send's admission charge between the
   /// moment it lands on the LnvcDesc ledger and the moment the enqueued
   /// message takes ownership of it (enqueue stage 1).  Armed under the
@@ -480,11 +509,15 @@ struct alignas(64) ProcSlot {
   /// Parked-sender membership: set (under the LNVC lock) while this
   /// process holds a ticket in the circuit's park FIFO.  Clearing it (by
   /// the owner or by reap()) removes the ticket from head-by-scan
-  /// contention, so a dead member silently promotes its successor.
+  /// contention, so a dead member silently promotes its successor.  Peers
+  /// parked on *other* circuits scan these fields under their own LNVC
+  /// lock, so the operands are atomic: written (relaxed) while
+  /// park_active == 0 and published by its release store of 1; scanners
+  /// load park_active (acquire) first.
   std::atomic<std::uint32_t> park_active;
-  std::uint32_t park_lnvc;
-  std::uint32_t park_gen;
-  std::uint64_t park_ticket;
+  std::atomic<std::uint32_t> park_lnvc;
+  std::atomic<std::uint32_t> park_gen;
+  std::atomic<std::uint64_t> park_ticket;
 
   /// Parked-receiver membership (lockfree_fcfs FCFS claim): counterpart of
   /// the park_* sender fields above, but scanned lock-free by fast-path

@@ -23,6 +23,11 @@ int status_code(mpf::Status s) {
   return s == mpf::Status::ok ? 0 : -static_cast<int>(s);
 }
 
+// status_code maps every Status to -(int)Status; the header's codes must
+// stay in step with the enum for that to hold.
+static_assert(MPF_EBUSY == -static_cast<int>(mpf::Status::busy));
+static_assert(MPF_EDEADLK == -static_cast<int>(mpf::Status::deadlock));
+
 mpf::Facility* facility() {
   return g_state ? &g_state->facility : nullptr;
 }

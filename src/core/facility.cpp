@@ -67,6 +67,7 @@ const char* to_string(Status s) noexcept {
     case Status::lnvc_orphaned: return "LNVC orphaned (last sender died)";
     case Status::rejected: return "rejected by admission control";
     case Status::busy: return "resource busy";
+    case Status::deadlock: return "deadlock (every peer is blocked)";
   }
   return "unknown status";
 }
@@ -906,9 +907,10 @@ std::vector<ParkedInfo> Facility::parked_infos() const {
     if (q.park_active.load(std::memory_order_acquire) != 0) {
       ParkedInfo info;
       info.pid = p;
-      info.id = static_cast<LnvcId>(q.park_lnvc);
+      info.id =
+          static_cast<LnvcId>(q.park_lnvc.load(std::memory_order_relaxed));
       info.receiver = false;
-      info.ticket = q.park_ticket;
+      info.ticket = q.park_ticket.load(std::memory_order_relaxed);
       info.node_epoch = q.park_node.epoch.load(std::memory_order_relaxed);
       info.alive = process_alive(p);
       infos.push_back(info);

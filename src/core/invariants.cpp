@@ -424,11 +424,14 @@ InvariantReport InvariantOracle::check(const Facility& f, bool quiescent) {
         journaled_slabs += ps.q_slabs;
       }
       if (ps.park_active.load(std::memory_order_acquire) != 0 &&
-          ps.park_lnvc == uid && ps.park_gen == d.generation) {
+          ps.park_lnvc.load(std::memory_order_relaxed) == uid &&
+          ps.park_gen.load(std::memory_order_relaxed) == d.generation) {
         ++parked_senders;
-        if (ps.park_ticket >= d.park_next_ticket) {
+        const std::uint64_t ticket =
+            ps.park_ticket.load(std::memory_order_relaxed);
+        if (ticket >= d.park_next_ticket) {
           c.fail(Invariant::parking, id, p,
-                 "park ticket " + format_u64(ps.park_ticket) +
+                 "park ticket " + format_u64(ticket) +
                      " >= park_next_ticket " +
                      format_u64(d.park_next_ticket));
         }
@@ -601,6 +604,10 @@ InvariantReport InvariantOracle::check(const Facility& f, bool quiescent) {
           ps.in_activity.load(std::memory_order_acquire) != 0) {
         c.fail(Invariant::quiescence, kInvalidLnvc, p,
                "process still registered on a monitor");
+      }
+      if (ps.wait_word.load(std::memory_order_acquire) != 0) {
+        c.fail(Invariant::quiescence, kInvalidLnvc, p,
+               "process still in a recorded wait");
       }
     }
     if (h.exhaustion_waiters.load(std::memory_order_acquire) != 0) {

@@ -474,8 +474,10 @@ Status Facility::quota_admit(ProcessId pid, detail::LnvcDesc& d, LnvcId id,
       if (p == pid) continue;
       const detail::ProcSlot& q = pslot(p);
       if (q.park_active.load(std::memory_order_acquire) != 0 &&
-          q.park_lnvc == static_cast<std::uint32_t>(id) &&
-          q.park_gen == generation && q.park_ticket < ticket) {
+          q.park_lnvc.load(std::memory_order_relaxed) ==
+              static_cast<std::uint32_t>(id) &&
+          q.park_gen.load(std::memory_order_relaxed) == generation &&
+          q.park_ticket.load(std::memory_order_relaxed) < ticket) {
         return false;
       }
     }
@@ -488,7 +490,13 @@ Status Facility::quota_admit(ProcessId pid, detail::LnvcDesc& d, LnvcId id,
     d.park_waiters.fetch_sub(1, std::memory_order_acq_rel);
     parked = false;
   };
+  WaitRecord rec(*this, pid);
   for (;;) {
+    if (rec.doomed()) {
+      // An exhaustion waiter's deadlock verdict named this park.
+      if (parked) unpark();
+      return Status::deadlock;
+    }
     // Admission is FIFO: an arrival may only pass when nobody is parked
     // ahead of it, and a parked sender only when it reaches the head.
     if (fits() &&
@@ -515,12 +523,16 @@ Status Facility::quota_admit(ProcessId pid, detail::LnvcDesc& d, LnvcId id,
     if (!parked) {
       ticket = d.park_next_ticket++;
       d.park_waiters.fetch_add(1, std::memory_order_acq_rel);
-      ps.park_lnvc = static_cast<std::uint32_t>(id);
-      ps.park_gen = generation;
-      ps.park_ticket = ticket;
+      ps.park_lnvc.store(static_cast<std::uint32_t>(id),
+                         std::memory_order_relaxed);
+      ps.park_gen.store(generation, std::memory_order_relaxed);
+      ps.park_ticket.store(ticket, std::memory_order_relaxed);
       ps.park_active.store(1, std::memory_order_release);
       parked = true;
       header_->quota_parks.fetch_add(1, std::memory_order_relaxed);
+      if (deadline_ns == kNoDeadline) {
+        rec.arm(detail::WaitKind::quota, id, generation);
+      }
     }
     // Sleep bounded by the deadline and the suspicion threshold, so a dead
     // head (or a dead receiver that will never drain the quota) cannot
@@ -569,8 +581,10 @@ Status Facility::quota_admit(ProcessId pid, detail::LnvcDesc& d, LnvcId id,
           detail::ProcSlot& q = pslot(p);
           if (p != pid &&
               q.park_active.load(std::memory_order_acquire) != 0 &&
-              q.park_lnvc == static_cast<std::uint32_t>(id) &&
-              q.park_gen == generation && !process_alive(p)) {
+              q.park_lnvc.load(std::memory_order_relaxed) ==
+                  static_cast<std::uint32_t>(id) &&
+              q.park_gen.load(std::memory_order_relaxed) == generation &&
+              !process_alive(p)) {
             suspect = p;
             break;
           }
@@ -1204,7 +1218,14 @@ Status Facility::claim_message(ProcessId pid, LnvcId id, bool blocking,
   bool bcast = false;
   bool waited = false;
   bool parked_woken = false;
+  WaitRecord rec(*this, pid);
   for (;;) {
+    if (rec.doomed()) {
+      // An exhaustion waiter's deadlock verdict named this receive.
+      platform_->unlock(d->lock);
+      reap_if_dead(pid, kNoProcess);
+      return Status::deadlock;
+    }
     // Lock-free sends park their messages on the injection stack; make
     // them deliverable before probing the heads.
     if (header_->lockfree_fcfs != 0) drain_injection(*d);
@@ -1264,6 +1285,7 @@ Status Facility::claim_message(ProcessId pid, LnvcId id, bool blocking,
       return Status::lnvc_orphaned;
     }
     waited = true;
+    if (timeout_ns == 0) rec.arm(detail::WaitKind::receive, id, generation);
     const bool use_park =
         header_->lockfree_fcfs != 0 && conn->is_fcfs() &&
         (d->fast_state.load(std::memory_order_relaxed) & 1) != 0;

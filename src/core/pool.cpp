@@ -450,15 +450,31 @@ Status Facility::alloc_message(ProcessId pid, std::size_t need,
     }
     // Monitor discipline for true exhaustion: register, re-sweep, sleep.
     // Sleeps are bounded by the suspicion threshold: a waiter that times
-    // out hunts for dead peers to reap, and gives up with peer_failed
-    // when no live receiver exists to ever drain the pool.  A send
-    // deadline bounds the whole wait: expiry deregisters and reports
-    // timed_out with every fragment already returned.
+    // out hunts for dead peers to reap, gives up with peer_failed when no
+    // live receiver exists to ever drain the pool, and with deadlock when
+    // every live process is blocked on something only a blocked process
+    // could provide (deadlock.cpp).  A send deadline bounds the whole
+    // wait: expiry deregisters and reports timed_out with every fragment
+    // already returned; such a wait is not recorded, as it ends by itself.
     header_->exhaustion_waits.fetch_add(1, std::memory_order_relaxed);
+    WaitRecord rec(*this, pid);
+    WaitScan scan;
+    if (deadline_ns == kNoDeadline) {
+      rec.arm(detail::WaitKind::exhaustion, kInvalidLnvc, 0);
+    }
     alock(header_->blocks_lock, pid);
     header_->exhaustion_waiters.fetch_add(1, std::memory_order_acq_rel);
     pslot(pid).in_exhaustion.store(1, std::memory_order_release);
     for (;;) {
+      if (rec.doomed()) {
+        // A detector's verdict named this wait: final, even if blocks
+        // appear while the other members unwind.
+        pslot(pid).in_exhaustion.store(0, std::memory_order_release);
+        header_->exhaustion_waiters.fetch_sub(1, std::memory_order_acq_rel);
+        platform_->unlock(header_->blocks_lock);
+        journal_clear(pid);
+        return Status::deadlock;
+      }
       if (try_gather(pid, need, target_node, msg, chain)) break;
       return_gather(pid, msg, chain);
       const std::uint64_t suspicion = header_->suspicion_ns;
@@ -512,6 +528,13 @@ Status Facility::alloc_message(ProcessId pid, std::size_t need,
         journal_clear(pid);
         header_->peer_failures.fetch_add(1, std::memory_order_relaxed);
         return Status::peer_failed;
+      }
+      // Our wait record stays published through the probe, so concurrent
+      // probers still count each other as members.
+      if (!reaped_any && deadline_ns == kNoDeadline &&
+          deadlock_probe(pid, &scan)) {
+        journal_clear(pid);
+        return Status::deadlock;
       }
       alock(header_->blocks_lock, pid);
       header_->exhaustion_waiters.fetch_add(1, std::memory_order_acq_rel);

@@ -746,14 +746,17 @@ Status Facility::reap(ProcessId reaper, ProcessId pid) {
   if (ps.in_activity.exchange(0, std::memory_order_acq_rel) != 0) {
     header_->activity_waiters.fetch_sub(1, std::memory_order_acq_rel);
   }
+  ps.wait_word.store(0, std::memory_order_release);
   if (ps.park_active.exchange(0, std::memory_order_acq_rel) != 0) {
     // Died parked in a quota FIFO: clearing the membership flag above
     // already promoted the next ticket (head is chosen by scanning live
     // members); drop the waiter count and wake the queue.
-    detail::LnvcDesc* pd = slot(static_cast<LnvcId>(ps.park_lnvc));
+    detail::LnvcDesc* pd = slot(static_cast<LnvcId>(
+        ps.park_lnvc.load(std::memory_order_relaxed)));
     if (pd != nullptr) {
       alock_lnvc(*pd, reaper);
-      if (pd->in_use != 0 && pd->generation == ps.park_gen &&
+      if (pd->in_use != 0 &&
+          pd->generation == ps.park_gen.load(std::memory_order_relaxed) &&
           pd->park_waiters.load(std::memory_order_acquire) > 0) {
         pd->park_waiters.fetch_sub(1, std::memory_order_acq_rel);
       }

@@ -206,6 +206,7 @@ TEST(CApiCodes, AdmissionCodesMirrorStatusEnum) {
   EXPECT_EQ(MPF_ETIMEDOUT, -static_cast<int>(mpf::Status::timed_out));
   EXPECT_EQ(MPF_EAGAIN, -static_cast<int>(mpf::Status::rejected));
   EXPECT_EQ(MPF_EPEERFAILED, -static_cast<int>(mpf::Status::peer_failed));
+  EXPECT_EQ(MPF_EDEADLK, -static_cast<int>(mpf::Status::deadlock));
   EXPECT_EQ(MPF_EORPHANED, -static_cast<int>(mpf::Status::lnvc_orphaned));
 }
 

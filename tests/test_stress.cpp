@@ -85,12 +85,23 @@ TEST(Stress, SustainedPipelineSoak) {
   // A long-running pipeline: producer -> 2 relays -> consumer, tens of
   // thousands of messages through a deliberately small block pool so
   // recycling and the wait policy are exercised constantly.
+  //
+  // The per-circuit quota is the pipeline's flow control (DESIGN.md §11).
+  // Without it, stage1 + stage2 can hold all 32 messages the pool fits:
+  // producer and relays then wait on exhaustion while the consumer waits
+  // on an empty stage3, and nothing can ever free a block.  With Q blocks
+  // per circuit each holds at most floor(Q/4) four-block messages; Q = 60
+  // keeps two circuits' backlog at 120 <= 124 blocks (128 minus one
+  // message) and 30 <= 31 headers, so the last relay can always send,
+  // while 3Q = 180 > 128 still lets the pool run dry and exercises
+  // BlockPolicy::wait.
   Config c;
   c.max_lnvcs = 8;
   c.max_processes = 8;
   c.block_payload = 10;
   c.message_blocks = 128;
   c.message_headers = 32;
+  c.lnvc_quota_blocks = 60;
   shm::HeapRegion region(c.derived_arena_bytes());
   Facility f = Facility::create(c, region);
   constexpr int kMsgs = 20'000;
