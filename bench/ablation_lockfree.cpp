@@ -1,13 +1,11 @@
-// Ablation: lock-free FCFS hand-off vs the descriptor spinlock.
+// Funnel under the descriptor lock (what remains of ablation A8).
 //
-// The funnel workload is the MPSC shape the injection stack exists for:
-// S senders fan into one FCFS circuit drained by a handful of receivers.
-// Under the baseline every sender serialises on the LNVC descriptor lock;
-// with Config::lockfree_fcfs each sender CAS-pushes its message onto the
-// per-circuit injection stack and only lock holders splice the stack into
-// the FIFO (DESIGN.md §12).  The figure sweeps the number of simulated
-// processes and plots delivered throughput for both modes — the curves
-// separate as contention grows.
+// S senders fan into one FCFS circuit drained by a handful of receivers;
+// every sender serialises on the LNVC descriptor lock.  The figure sweeps
+// the number of simulated processes and plots delivered throughput — the
+// only gated DES funnel at 64-1024 processes.  The lock-free tier this
+// bench once compared against was removed (DESIGN.md §12): its simulated
+// 2.0-2.4x gain never reproduced on real cores.
 #include <cstddef>
 #include <iostream>
 #include <vector>
@@ -26,16 +24,15 @@ constexpr int kReceivers = 4;
 constexpr int kTotalMsgs = 4096;  ///< across all senders (per-sender share)
 constexpr std::size_t kLen = 64;
 
-double funnel_throughput(int nprocs, bool lockfree) {
+double funnel_throughput(int nprocs) {
   Config c;
   c.max_lnvcs = 16;
   c.max_processes = static_cast<std::uint32_t>(nprocs);
   c.block_payload = 10;
   c.message_blocks = 65536;
-  c.lockfree_fcfs = lockfree;
   // A Balance with enough core to hold the whole backlog: the funnel keeps
   // thousands of messages in flight, and under the paper's 32 KB resident
-  // budget both modes thrash the pager at 15 ms a fault — paging noise two
+  // budget the funnel thrashes the pager at 15 ms a fault — paging noise two
   // orders of magnitude above the lock costs this ablation isolates.  The
   // figure benches keep the paper's memory; this one buys 1988's upgrade.
   sim::MachineModel model = sim::MachineModel::balance21000();
@@ -78,14 +75,13 @@ double funnel_throughput(int nprocs, bool lockfree) {
 int main(int argc, char** argv) {
   Figure fig;
   fig.id = "Ablation A8";
-  fig.title = "Lock-free FCFS hand-off";
+  fig.title = "FCFS funnel under the descriptor lock";
   fig.subtitle = "Funnel throughput vs simulated processes, 4 receivers";
   fig.xlabel = "processes";
   fig.ylabel = "throughput_bytes_per_sec";
   for (const int nprocs : {64, 128, 256, 512, 1024}) {
     const auto x = static_cast<double>(nprocs);
-    fig.add("baseline", x, funnel_throughput(nprocs, /*lockfree=*/false));
-    fig.add("lockfree", x, funnel_throughput(nprocs, /*lockfree=*/true));
+    fig.add("baseline", x, funnel_throughput(nprocs));
   }
   return emit_figure(argc, argv, std::cout, fig);
 }

@@ -1,9 +1,9 @@
 // Deterministic schedule fuzzer over the facility surface (DESIGN.md §13).
 //
 // One fuzz case = a seed.  The seed derives everything: the facility
-// configuration (block size, shards, NUMA nodes, slab path, quotas,
-// lockfree mode), the number of simulated processes, and a per-process op
-// script over a small universe of LNVC names (open/close, timed and
+// configuration (block size, shards, NUMA nodes, slab path, quotas), the
+// number of simulated processes, and a per-process op script over a
+// small universe of LNVC names (open/close, timed and
 // untimed sends, scatter-gather, copy-out and zero-copy receives,
 // receive_any, admission flips, reaps, pulses, poll sets).  Seeds may
 // shrink the name directory to 1-4 buckets, forcing every name into a
@@ -73,7 +73,6 @@ struct FuzzParams {
   int ops = 0;         ///< ops per process per round; 0 = derived [12, 48]
   int max_kills = -1;  ///< FaultPlan kills per round; -1 = derived [0, 3]
   int max_pauses = -1; ///< FaultPlan pauses per round; -1 = derived [0, 2]
-  int lockfree = -1;   ///< Config::lockfree_fcfs; -1 = seed-derived
   std::uint32_t opmask = (1u << kFuzzOpCount) - 1;  ///< enabled categories
 };
 
@@ -91,7 +90,6 @@ struct FuzzResult {
   int ops = 0;
   int max_kills = 0;
   int max_pauses = 0;
-  int lockfree = 0;
   // Aggregate activity, so campaigns can report coverage.
   std::uint64_t kills = 0;  ///< injected kills that actually fired
   std::uint64_t sends = 0;
@@ -104,7 +102,7 @@ FuzzResult run_fuzz_case(const FuzzParams& params);
 
 /// One-line reproduction command for a (resolved) case, e.g.
 /// "mpf_fuzz --seed 7 --procs 8 --rounds 2 --ops 16 --kills 1 --pauses 0
-///  --lockfree 1 --opmask 0xffff".
+///  --opmask 0xffff".
 [[nodiscard]] std::string fuzz_repro_line(const FuzzParams& params,
                                           const FuzzResult& result);
 

@@ -138,18 +138,13 @@ struct Config {
   /// cost of unbounded buffer growth (measured by the reclaim ablation).
   bool reclaim_broadcast_only = true;
 
-  /// Enable the two-tier lock-free FCFS delivery path (DESIGN.md §12).
-  /// Senders that pass a one-time locked validation CAS messages onto a
-  /// per-circuit injection stack and blocked FCFS receivers park on a
-  /// futex-class WaitNode instead of polling the descriptor EventCount;
-  /// the descriptor spinlock is kept only for the slow paths (broadcast
-  /// fan-out, quotas, repair).  false (default) keeps the fully locked
-  /// pre-existing path, bit-identical on every flat-model bench.
-  bool lockfree_fcfs = false;
+  /// The lock-free FCFS tier was removed; always false, kept only so
+  /// existing readers of the field still compile.
+  static constexpr bool lockfree_fcfs = false;
   /// Nanoseconds a parking waiter spins before sleeping (futex natively,
   /// virtual wait resource under the simulator, poll/nap fallback
-  /// elsewhere).  Pipeline-cadence hand-offs that land within the spin
-  /// window never pay a syscall.  Only read while lockfree_fcfs is on.
+  /// elsewhere).  Read by pollset_wait: a ready push that lands within the
+  /// spin window never pays a syscall.
   std::uint64_t park_spin_ns = 1'000'000;  // 1 ms
 
   /// Arena bytes needed for this configuration (fills in the derived

@@ -51,17 +51,13 @@ struct LnvcInfo {
   std::uint32_t hw_slabs = 0;
   AdmissionPolicy policy = AdmissionPolicy::block;
   std::uint32_t parked = 0;  ///< senders currently in the park FIFO
-  /// Receivers currently parked on this circuit's lock-free claim path.
-  std::uint32_t parked_receivers = 0;
 };
 
-/// One row of the mpf_inspect --parked report: a process currently parked
-/// (a quota-blocked sender in the circuit's park FIFO, or an FCFS receiver
-/// sleeping on its WaitNode) with its wait-node state.
+/// One row of the mpf_inspect --parked report: a quota-blocked sender in
+/// a circuit's park FIFO, with its wait-node state.
 struct ParkedInfo {
   ProcessId pid = 0;
   LnvcId id = kInvalidLnvc;      ///< circuit it is parked on
-  bool receiver = false;         ///< false: quota-parked sender
   std::uint64_t ticket = 0;      ///< FIFO ticket (head = smallest live)
   std::uint32_t node_epoch = 0;  ///< the process's WaitNode epoch
   bool alive = true;             ///< liveness verdict at snapshot time
@@ -138,11 +134,10 @@ struct FacilityStats {
   std::uint64_t sends_shed = 0;       ///< shed_newest drops
   std::uint64_t sends_timed_out = 0;  ///< send deadlines that expired
   std::uint64_t quota_parks = 0;      ///< senders that parked on a quota
-  // Lock-free FCFS + parking counters (see DESIGN.md §12).
+  // Parking counters (see DESIGN.md §12).
   std::uint64_t parks = 0;           ///< times a process parked on its node
   std::uint64_t wakes = 0;           ///< unparks issued (one claimant each)
   std::uint64_t spurious_wakes = 0;  ///< woken parks that claimed nothing
-  std::uint64_t lockfree_fast_sends = 0;  ///< sends that took the CAS path
   std::uint64_t any_rescans = 0;  ///< receive_any connection-snapshot refreshes
   // Name-directory / pollset / pulse counters (see DESIGN.md §14).
   std::uint64_t dir_lookups = 0;     ///< directory name probes
@@ -454,8 +449,8 @@ class Facility {
   /// which resolve via the new policy's rejection path.
   Status set_admission(ProcessId pid, LnvcId id, std::uint32_t quota_blocks,
                        std::uint32_t quota_slabs, AdmissionPolicy policy);
-  /// Every currently parked process (mpf_inspect --parked): quota-parked
-  /// senders and lock-free-claim receivers, with wait-node state.
+  /// Every quota-parked sender (mpf_inspect --parked), with wait-node
+  /// state.
   [[nodiscard]] std::vector<ParkedInfo> parked_infos() const;
   /// Snapshots of every live LNVC (for tools/monitoring).
   [[nodiscard]] std::vector<LnvcInfo> lnvc_infos() const;
@@ -514,10 +509,10 @@ class Facility {
   detail::PollSet* pollset_table() const noexcept;
   /// Sender-side pollset wake: if `d` belongs to a pollset and wins the
   /// ready_armed 1->0 exchange, push it onto the ready stack and unpark
-  /// the registered waiter.  Lock-free; callable from the CAS fast path.
+  /// the registered waiter.  Lock-free; called after the sender unlocks.
   void pollset_signal(detail::LnvcDesc& d);
-  /// Deliverability probe for pollset_wait: drains the injection stack and
-  /// reports whether `d` has an FCFS-deliverable message or pending pulse.
+  /// Deliverability probe for pollset_wait (descriptor lock held): whether
+  /// `d` has a deliverable message or pending pulse.
   bool pollset_ready_locked(detail::LnvcDesc& d);
   /// Destroy `ps` with its lock already held (shared by pollset_destroy
   /// and the reap sweep); unlocks before returning.
@@ -607,31 +602,6 @@ class Facility {
   /// Drop the probe token if this process holds it (descriptor lock held);
   /// call on every wake so a departing waiter never strands the token.
   void probe_release(detail::LnvcDesc& d, ProcessId pid);
-  // Lock-free FCFS fast path (lnvc.cpp; DESIGN.md §12).
-  /// Splice the injection stack into the FIFO in push order (descriptor
-  /// lock held): exchange(null), pointer-reverse, link at msg_tail,
-  /// assigning seq/claims/quota exactly as a locked enqueue would.
-  void drain_injection(detail::LnvcDesc& d);
-  /// Recompute LnvcDesc::fast_state (epoch bumped, eligibility re-derived)
-  /// under the descriptor lock.  Must be called on every structural change
-  /// a cached fast-path validation depends on; when eligibility drops it
-  /// kicks every parked receiver so none sleeps through the transition.
-  void update_fast_state(detail::LnvcDesc& d);
-  /// Attempt the lock-free CAS-push send.  Returns true with *out set
-  /// (ok, or closed when a racing close/destroy invalidated the push) when
-  /// the fast path handled the send; false = caller takes the locked path.
-  bool fast_send(ProcessId pid, detail::LnvcDesc& d, LnvcId id,
-                 std::span<const ConstBuffer> iov, std::size_t total,
-                 std::uint64_t deadline_ns, Status* out);
-  /// Remove one message from `d`'s injection stack or orphan list
-  /// (descriptor lock held); false when it is in neither — i.e. a drain
-  /// already delivered it.  Used by the push-reconcile path and the reaper.
-  bool unlink_injected(detail::LnvcDesc& d, shm::Offset msg_off);
-  /// Wake the head (smallest live ticket) of the parked-receiver FIFO —
-  /// or every member with `all` (orphan/destroy/eligibility transitions).
-  /// Pure lock-free scan over ProcSlot::rpark_*; callable with or without
-  /// the descriptor lock.
-  void rpark_wake(detail::LnvcDesc& d, std::uint32_t gen, bool all);
   /// Drop one pin under the LNVC slot lock; frees the message if it was
   /// detached and this was the last pin.  Core of release_view and of the
   /// reap-time view sweep.

@@ -38,7 +38,7 @@ enum class Invariant : std::uint32_t {
   fifo,          ///< per-circuit FIFO structure: seq order, head/tail,
                  ///  n_queued, connection counts, chain shape
   ledger,        ///< per-circuit quota ledger vs. recomputed charges
-  parking,       ///< park/rpark waiter counters vs. slot membership
+  parking,       ///< park waiter counter vs. slot membership
   views,         ///< view-table / pin / broadcast-claim accounting
   quiescence,    ///< armed journals or parked/waiting state at rest
   directory,     ///< name-directory chains, descriptor freelist

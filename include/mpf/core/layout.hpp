@@ -95,7 +95,10 @@ struct Block {
 
 /// Message header (paper §3.1: length, tail pointer, next-message link),
 /// extended with the reference counts that implement reclamation.
-struct MsgHeader {
+/// Cache-line aligned: a header is written by its sender and its claiming
+/// receiver on different cores, so two messages in flight must not share
+/// a line.
+struct alignas(64) MsgHeader {
   /// Payload lives in one contiguous slab extent (first_block == the
   /// extent, nblocks == 0) instead of a block chain.
   static constexpr std::uint32_t kSlab = 1u << 0;
@@ -118,19 +121,6 @@ struct MsgHeader {
   /// reclamation).
   std::uint32_t pins;
   std::uint32_t flags;  ///< kSlab | kDetached
-  /// Fast-path provenance (lockfree_fcfs): which sender CAS-pushed this
-  /// message, the LNVC generation it validated against, and its per-sender
-  /// monotonic stamp, so recovery can decide whether a push from a killed
-  /// sender landed (see ProcSlot::inject_drained).  Zero on the locked
-  /// path.
-  std::uint32_t src_pid;
-  std::uint32_t inject_gen;
-  std::uint64_t inject_stamp;
-  /// Injection-stack link (separate from next_msg): the stack chain stays
-  /// intact while a drain splices its suffix into the FIFO, so a receiver
-  /// dying mid-splice leaves every pushed message reachable from
-  /// LnvcDesc::inject_head for repair_lnvc.
-  shm::Offset inject_next;
 };
 
 /// A send or receive connection of one process to one LNVC.
@@ -180,8 +170,8 @@ struct LnvcDesc {
   std::uint32_t free_next;      ///< freelist link: slot index + 1
 
   // Poll-set membership (at most one pollset per circuit).  pollset_id is
-  // the commit point (seq_cst, written last) because fast-path senders
-  // read these with no lock held; pollset_mslot/pollset_gen are written
+  // the commit point (seq_cst, written last) because senders read these
+  // after unlocking; pollset_mslot/pollset_gen are written
   // before it under the descriptor lock.
   std::atomic<std::uint32_t> pollset_id;     ///< PollSet index + 1; 0 none
   std::atomic<std::uint32_t> pollset_mslot;  ///< member index in the pollset
@@ -244,36 +234,11 @@ struct LnvcDesc {
   std::atomic<std::uint32_t> park_waiters;
   sync::EventCount park_cond;  ///< parked senders sleep; releasers notify
 
-  // Lock-free FCFS fast path (Config::lockfree_fcfs; DESIGN.md §12).
-  /// MPSC injection stack: fast-path senders CAS-push fully built messages
-  /// here, linked through MsgHeader::inject_next.  Any lock holder drains
-  /// it — snapshot the head, splice the chain bottom-up (oldest first) at
-  /// msg_tail, then cut the spliced suffix off the stack — so the stack's
-  /// LIFO order becomes FIFO arrival order.  The push is the only
-  /// lock-free write; draining and unlinking happen under `lock`.
-  std::atomic<shm::Offset> inject_head;
-  /// Cross-generation residue (lock-protected, linked via next_msg): a
-  /// push that raced destroy + slot reuse lands on the new circuit's
-  /// stack with a stale inject_gen; drains divert it here instead of the
-  /// FIFO, and the pusher's reconcile path (or its reaper) unlinks and
-  /// rolls it back.  Survives slot recycling on purpose.
-  shm::Offset orphan_head;
-  /// Seqlock-style eligibility word: (epoch << 1) | eligible, rewritten
-  /// (epoch bumped) under `lock` on every structural change — connection
-  /// open/close/reap, quota or policy change, destroy.  eligible is 1 only
-  /// while in_use, no BROADCAST receivers, both quotas unlimited, and the
-  /// facility has lockfree_fcfs on.  A sender whose cached validation
-  /// (ProcSlot::fast_seen) still equals this word may push without the
-  /// lock: an unchanged word proves its sender connection still exists and
-  /// the circuit still qualifies.
-  std::atomic<std::uint64_t> fast_state;
-  /// Parked-receiver FIFO, mirroring the parked-sender park_* scheme:
-  /// head-by-scan over live ProcSlot::rpark_* members, no cursor to
-  /// repair.  rpark_waiters is atomic because fast-path senders peek it
-  /// with no lock held (Dekker pairing: CAS push seq_cst, then peek; the
-  /// receiver registers seq_cst, then re-checks inject_head).
-  std::uint64_t rpark_next_ticket;
-  std::atomic<std::uint32_t> rpark_waiters;
+  /// Structural epoch, bumped under `lock` on every structural change —
+  /// connection open/close/reap, quota or policy change.  Message traffic
+  /// never moves it, so receive_any re-walks a circuit's connection list
+  /// only when this word differs from its snapshot.
+  std::atomic<std::uint64_t> struct_epoch;
 };
 
 /// A caller-owned chain of blocks being assembled (or returned) by the
@@ -519,41 +484,9 @@ struct alignas(64) ProcSlot {
   std::atomic<std::uint32_t> park_gen;
   std::atomic<std::uint64_t> park_ticket;
 
-  /// Parked-receiver membership (lockfree_fcfs FCFS claim): counterpart of
-  /// the park_* sender fields above, but scanned lock-free by fast-path
-  /// senders picking a wake target, so every field is atomic.  The
-  /// operands are written (relaxed) while rpark_active == 0 and published
-  /// by its seq_cst store of 1; scanners load rpark_active first.
-  std::atomic<std::uint32_t> rpark_active;
-  std::atomic<std::uint32_t> rpark_lnvc;
-  std::atomic<std::uint32_t> rpark_gen;
-  std::atomic<std::uint64_t> rpark_ticket;
-  /// This process's one-claimant wait cell: every park of this process
-  /// (today: blocked FCFS receivers) sleeps here, and wakers bump it via
-  /// Platform::unpark.
+  /// This process's one-claimant wait cell: pollset_wait sleeps here, and
+  /// wakers bump it via Platform::unpark.
   sync::WaitNode park_node;
-
-  /// Fast-push crash protocol.  inject_seq is the sender-private stamp
-  /// source (single writer: this process).  inject_drained is the highest
-  /// stamp of this sender's pushes that any lock holder has drained from
-  /// an injection stack into a FIFO (CAS-max, advanced under that
-  /// circuit's lock).  The journal holds at most one in-flight send, and
-  /// the armed stamp is always the sender's newest, so
-  /// inject_drained >= j_inject_stamp proves the journaled push was
-  /// published (and already drained) — nothing to roll back.
-  std::uint64_t inject_seq;
-  std::atomic<std::uint64_t> inject_drained;
-  /// Stamp of the in-flight fast push (enqueue journal stage 2 operand;
-  /// written before the stage store).
-  std::uint64_t j_inject_stamp;
-
-  /// Sender fast-path validation cache: the circuit (lnvc_id + 1; 0 =
-  /// empty) and the fast_state word a fully locked send last validated.
-  /// A later send may push lock-free iff the circuit's current fast_state
-  /// still equals fast_seen (see LnvcDesc::fast_state).
-  std::uint32_t fast_lnvc;
-  std::uint32_t fast_gen;
-  std::uint64_t fast_seen;
 };
 
 /// Root object of an MPF facility, at a fixed offset in the arena.
@@ -668,17 +601,14 @@ struct FacilityHeader {
   std::atomic<std::uint64_t> sends_timed_out;  ///< send deadlines expired
   std::atomic<std::uint64_t> quota_parks;      ///< senders that ever parked
 
-  /// Lock-free FCFS + parking seam (Config::lockfree_fcfs / park_spin_ns,
-  /// shared here so every attacher uses the creator's values).
-  std::uint32_t lockfree_fcfs;
-  std::uint32_t pad_lockfree_;
+  /// Parking seam (Config::park_spin_ns, shared here so every attacher
+  /// uses the creator's value).
   std::uint64_t park_spin_ns;
 
   // Parking observability (FacilityStats / mpf_inspect --parked).
   std::atomic<std::uint64_t> parks;           ///< times a process parked
   std::atomic<std::uint64_t> wakes;           ///< unparks issued to waiters
   std::atomic<std::uint64_t> spurious_wakes;  ///< woken parks that found nothing
-  std::atomic<std::uint64_t> lockfree_fast_sends;  ///< sends via CAS push
   /// receive_any connection-snapshot refreshes (satellite: the wait loop
   /// must not re-walk connection lists on spurious wakeups).
   std::atomic<std::uint64_t> any_rescans;

@@ -38,7 +38,7 @@ class Region {
   std::size_t size_ = 0;
 };
 
-/// Plain heap allocation (aligned); thread-shared only.
+/// Plain heap allocation (64-byte aligned); thread-shared only.
 class HeapRegion final : public Region {
  public:
   explicit HeapRegion(std::size_t bytes);
@@ -46,6 +46,9 @@ class HeapRegion final : public Region {
   [[nodiscard]] bool process_shared() const noexcept override {
     return false;
   }
+
+ private:
+  void* raw_ = nullptr;  ///< what malloc returned; base_ is raw_ aligned up
 };
 
 /// Anonymous MAP_SHARED|MAP_ANONYMOUS mapping: inherited across fork() at

@@ -1,13 +1,12 @@
 // Futex-class parking seam: WaitNode + Parker.
 //
-// The LNVC lock-free fast path (Config::lockfree_fcfs) needs "this one
-// process sleeps until someone hands it a baton" — a single-claimant wait,
-// not the multi-waiter broadcast EventCount models.  A WaitNode is one
-// 4-byte epoch cell owned by exactly one waiter at a time; Parker::park
-// sleeps until the epoch moves past a snapshot, Parker::wake bumps the
-// epoch and rouses at most the one waiter.  Because wakes target a single
-// node there is no thundering herd: a notifier picks its claimant first,
-// then wakes only that node.
+// pollset_wait needs "this one process sleeps until someone hands it a
+// baton" — a single-claimant wait, not the multi-waiter broadcast
+// EventCount models.  A WaitNode is one 4-byte epoch cell owned by exactly
+// one waiter at a time; Parker::park sleeps until the epoch moves past a
+// snapshot, Parker::wake bumps the epoch and rouses at most the one
+// waiter.  Because wakes target a single node there is no thundering herd:
+// a notifier picks its claimant first, then wakes only that node.
 //
 // Three backends share this contract:
 //   * futex(2) on Linux thread/fork platforms — the cell is FUTEX_WAIT-ed

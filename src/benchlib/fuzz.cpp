@@ -84,14 +84,14 @@ CaseShape resolve(const FuzzParams& in) {
   const int d_ops = 12 + static_cast<int>(rng.below(37));        // 12..48
   const int d_kills = static_cast<int>(rng.below(4));            // 0..3
   const int d_pauses = static_cast<int>(rng.below(3));           // 0..2
-  const int d_lockfree = static_cast<int>(rng.below(2));
+  // Once the lockfree mode; still drawn so no seed's later draws shift.
+  (void)rng.below(2);
   if (s.p.procs <= 0) s.p.procs = d_procs;
   s.p.procs = std::clamp(s.p.procs, 2, 64);
   if (s.p.rounds <= 0) s.p.rounds = d_rounds;
   if (s.p.ops <= 0) s.p.ops = d_ops;
   if (s.p.max_kills < 0) s.p.max_kills = d_kills;
   if (s.p.max_pauses < 0) s.p.max_pauses = d_pauses;
-  if (s.p.lockfree < 0) s.p.lockfree = d_lockfree;
 
   s.n_names = 2 + static_cast<int>(rng.below(kMaxNames - 1));  // 2..5
   static constexpr std::uint32_t kPayloads[] = {10, 16, 64, 256};
@@ -117,7 +117,6 @@ CaseShape resolve(const FuzzParams& in) {
   s.flip_admission = rng.chance(40);
   c.reclaim_broadcast_only = rng.chance(80);
   c.suspicion_ns = 1'000'000;  // 1 ms virtual: probes fire within a round
-  c.lockfree_fcfs = s.p.lockfree != 0;
   // Half the seeds squeeze the name directory to 1-4 buckets: with 2-5
   // names in play every open/lookup collides, so chain insert/unlink and
   // the bucket-shape oracle run constantly (1 bucket = the linear-scan
@@ -820,7 +819,6 @@ FuzzResult run_fuzz_case(const FuzzParams& params) {
   res.ops = shape.p.ops;
   res.max_kills = shape.p.max_kills;
   res.max_pauses = shape.p.max_pauses;
-  res.lockfree = shape.p.lockfree;
   res.trace_hash = 0xcbf29ce484222325ull;
 
   CaseState cs;
@@ -946,10 +944,10 @@ std::string fuzz_repro_line(const FuzzParams& params,
   char line[256];
   std::snprintf(line, sizeof line,
                 "mpf_fuzz --seed %llu --procs %d --rounds %d --ops %d "
-                "--kills %d --pauses %d --lockfree %d --opmask 0x%x",
+                "--kills %d --pauses %d --opmask 0x%x",
                 static_cast<unsigned long long>(params.seed), result.procs,
                 result.rounds, result.ops, result.max_kills,
-                result.max_pauses, result.lockfree, params.opmask);
+                result.max_pauses, params.opmask);
   return line;
 }
 

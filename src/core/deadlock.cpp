@@ -94,8 +94,7 @@ bool Facility::wait_scan(ProcessId self, WaitScan* out) {
       const bool deliverable =
           conn == nullptr ||
           (conn->is_bcast() ? conn->bcast_head != shm::kNullOffset
-                            : static_cast<bool>(d->fcfs_head)) ||
-          d->inject_head.load(std::memory_order_acquire) != shm::kNullOffset;
+                            : static_cast<bool>(d->fcfs_head));
       stuck = !deliverable && d->n_senders > 0;
       for (shm::Offset off = d->connections.off;
            stuck && off != shm::kNullOffset;) {
@@ -164,9 +163,6 @@ bool Facility::deadlock_probe(ProcessId pid, WaitScan* prev) {
     platform_->unlock(d->lock);
     platform_->notify_all(d->cond);
     platform_->notify_all(d->park_cond);
-    // Lock-free receivers sleep on their own wait node; the lock/unlock
-    // above follows their pre-sleep check, so this unpark cannot be lost.
-    platform_->unpark(pslot(p).park_node);
   }
   reap_if_dead(pid, kNoProcess);
   return true;

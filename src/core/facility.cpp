@@ -272,7 +272,6 @@ Facility Facility::create(const Config& config, shm::Region& region,
   hdr->lnvc_quota_blocks = c.lnvc_quota_blocks;
   hdr->lnvc_quota_slabs = c.lnvc_quota_slabs;
   hdr->admission_policy = static_cast<std::uint32_t>(c.admission_policy);
-  hdr->lockfree_fcfs = c.lockfree_fcfs ? 1 : 0;
   hdr->park_spin_ns = c.park_spin_ns;
 
   // Sharded name directory + descriptor freelist: every slot starts on
@@ -587,10 +586,9 @@ Status Facility::open_common(ProcessId pid, std::string_view name,
   if (status != Status::ok && d->n_senders + d->n_fcfs + d->n_bcast == 0) {
     destroy_lnvc(pid, *d);
   }
-  // Any connection change invalidates cached fast-path validations (a
-  // joining BROADCAST receiver, in particular, must stop in-flight CAS
-  // pushes before it can miss a fan-out).
-  update_fast_state(*d);
+  // Any connection change moves the structural epoch (receive_any
+  // snapshots re-walk the connection list).
+  d->struct_epoch.fetch_add(1, std::memory_order_relaxed);
   platform_->unlock(d->lock);
   platform_->unlock(b.lock);
   reap_if_dead(pid, dead);
@@ -669,10 +667,7 @@ Status Facility::close_common(ProcessId pid, LnvcId id, bool sender) {
     destroy_lnvc(pid, *d);
   } else {
     reclaim(pid, *d);
-    // The departed connection invalidates cached fast-path validations
-    // (the closer itself must not CAS-push on a connection it just shed),
-    // and a leaving BROADCAST receiver may restore eligibility.
-    update_fast_state(*d);
+    d->struct_epoch.fetch_add(1, std::memory_order_relaxed);
     // Receivers blocked on this LNVC may need to reconsider (e.g. the
     // closing process was expected to send).
     platform_->notify_all(d->cond);
@@ -699,21 +694,6 @@ Status Facility::close_receive(ProcessId pid, LnvcId id) {
 }
 
 void Facility::destroy_lnvc(ProcessId pid, detail::LnvcDesc& d) {
-  if (header_->lockfree_fcfs != 0) {
-    // Seal the fast path, then drain — in that order.  The seq_cst total
-    // order gives the Dekker guarantee: a CAS push whose post-push
-    // validation read the pre-seal word landed before the drain's head
-    // snapshot, so the drain splices (and the walk below frees) it; a
-    // push that lands after the snapshot reads the sealed word and
-    // reconciles under the lock instead of trusting its cache.  Sealing
-    // also wakes parked receivers so they observe the death.  Everything
-    // up to here mutates nothing destroy must finish — a death at the
-    // wake's platform call leaves an intact circuit for repair_lnvc.
-    const std::uint64_t old = d.fast_state.load(std::memory_order_relaxed);
-    d.fast_state.store(((old >> 1) + 1) << 1, std::memory_order_seq_cst);
-    if ((old & 1) != 0) rpark_wake(d, d.generation, /*all=*/true);
-    drain_injection(d);
-  }
   shm::Offset m_off = d.msg_head.off;
   // Journal the retained FIFO, then detach it and kill the slot with no
   // intervening platform call: at every subsequent suspension point the
@@ -800,11 +780,7 @@ Status Facility::set_admission(ProcessId pid, LnvcId id,
   d->quota_blocks = quota_blocks;
   d->quota_slabs = quota_slabs;
   d->policy = static_cast<std::uint32_t>(policy);
-  // A nonzero quota disqualifies the CAS path (pushes bypass admission);
-  // lifting it back to 0/0 restores eligibility.  Drain first so messages
-  // already pushed under the old validation land on the ledger.
-  if (header_->lockfree_fcfs != 0) drain_injection(*d);
-  update_fast_state(*d);
+  d->struct_epoch.fetch_add(1, std::memory_order_relaxed);
   platform_->unlock(d->lock);
   // A loosened (or lifted) quota may admit senders parked under the old
   // one.
@@ -818,9 +794,6 @@ std::size_t Facility::queued(LnvcId id) const {
   detail::LnvcDesc* d = slot(id);
   if (d == nullptr) return 0;
   self->platform_->lock(d->lock);
-  if (header_->lockfree_fcfs != 0 && d->in_use != 0) {
-    self->drain_injection(*d);  // count in-flight fast pushes too
-  }
   const std::size_t n = d->in_use ? d->n_queued : 0;
   self->platform_->unlock(d->lock);
   return n;
@@ -859,7 +832,6 @@ Status Facility::lnvc_info(LnvcId id, LnvcInfo* out) const {
     self->platform_->unlock(d->lock);
     return Status::no_such_lnvc;
   }
-  if (header_->lockfree_fcfs != 0) self->drain_injection(*d);
   out->id = id;
   out->name.assign(d->name, ::strnlen(d->name, detail::kNameMax));
   out->senders = d->n_senders;
@@ -882,17 +854,6 @@ Status Facility::lnvc_info(LnvcId id, LnvcInfo* out) const {
   out->hw_slabs = d->hw_slabs;
   out->policy = static_cast<AdmissionPolicy>(d->policy);
   out->parked = d->park_waiters.load(std::memory_order_relaxed);
-  out->parked_receivers = 0;
-  const auto gen = d->generation;
-  for (ProcessId p = 0; p < header_->max_processes; ++p) {
-    const detail::ProcSlot& q = pslot(p);
-    if (q.rpark_active.load(std::memory_order_acquire) != 0 &&
-        q.rpark_lnvc.load(std::memory_order_relaxed) ==
-            static_cast<std::uint32_t>(id) &&
-        q.rpark_gen.load(std::memory_order_relaxed) == gen) {
-      ++out->parked_receivers;
-    }
-  }
   self->platform_->unlock(d->lock);
   return Status::ok;
 }
@@ -909,19 +870,7 @@ std::vector<ParkedInfo> Facility::parked_infos() const {
       info.pid = p;
       info.id =
           static_cast<LnvcId>(q.park_lnvc.load(std::memory_order_relaxed));
-      info.receiver = false;
       info.ticket = q.park_ticket.load(std::memory_order_relaxed);
-      info.node_epoch = q.park_node.epoch.load(std::memory_order_relaxed);
-      info.alive = process_alive(p);
-      infos.push_back(info);
-    }
-    if (q.rpark_active.load(std::memory_order_acquire) != 0) {
-      ParkedInfo info;
-      info.pid = p;
-      info.id =
-          static_cast<LnvcId>(q.rpark_lnvc.load(std::memory_order_relaxed));
-      info.receiver = true;
-      info.ticket = q.rpark_ticket.load(std::memory_order_relaxed);
       info.node_epoch = q.park_node.epoch.load(std::memory_order_relaxed);
       info.alive = process_alive(p);
       infos.push_back(info);
@@ -993,8 +942,6 @@ FacilityStats Facility::stats() const {
   s.parks = header_->parks.load(std::memory_order_relaxed);
   s.wakes = header_->wakes.load(std::memory_order_relaxed);
   s.spurious_wakes = header_->spurious_wakes.load(std::memory_order_relaxed);
-  s.lockfree_fast_sends =
-      header_->lockfree_fast_sends.load(std::memory_order_relaxed);
   s.any_rescans = header_->any_rescans.load(std::memory_order_relaxed);
   s.dir_lookups = header_->dir_lookups.load(std::memory_order_relaxed);
   s.dir_collisions = header_->dir_collisions.load(std::memory_order_relaxed);

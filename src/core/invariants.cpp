@@ -151,11 +151,6 @@ InvariantReport InvariantOracle::check(const Facility& f, bool quiescent) {
     detail::LnvcDesc& d = table[id];
     self->platform_->lock(d.lock);
     if (d.in_use == 0) {
-      if (h.lockfree_fcfs == 0 &&
-          d.inject_head.load(std::memory_order_seq_cst) != shm::kNullOffset) {
-        c.fail(Invariant::fifo, id,
-               "injection stack non-empty with lockfree_fcfs off");
-      }
       self->platform_->unlock(d.lock);
       continue;
     }
@@ -371,40 +366,6 @@ InvariantReport InvariantOracle::check(const Facility& f, bool quiescent) {
       }
     }
 
-    // --- injection stack / orphan list (lock-free tier) -----------------
-    if (h.lockfree_fcfs == 0) {
-      if (d.inject_head.load(std::memory_order_seq_cst) != shm::kNullOffset ||
-          d.orphan_head != shm::kNullOffset) {
-        c.fail(Invariant::fifo, id,
-               "injection state non-empty with lockfree_fcfs off");
-      }
-    } else {
-      std::uint64_t stack_walked = 0;
-      for (shm::Offset off = d.inject_head.load(std::memory_order_seq_cst);
-           off != shm::kNullOffset;) {
-        if (++stack_walked > msg_cap) {
-          c.fail(Invariant::fifo, id, "injection stack cycle");
-          break;
-        }
-        const auto* m =
-            static_cast<const detail::MsgHeader*>(f.arena_.raw(off));
-        if (m->src_pid >= h.max_processes) {
-          c.fail(Invariant::fifo, id, "injected message with bad src_pid");
-          break;
-        }
-        off = m->inject_next;
-      }
-      std::uint64_t orphan_walked = 0;
-      for (shm::Offset off = d.orphan_head; off != shm::kNullOffset;) {
-        if (++orphan_walked > msg_cap) {
-          c.fail(Invariant::fifo, id, "orphan list cycle");
-          break;
-        }
-        off = static_cast<const detail::MsgHeader*>(f.arena_.raw(off))
-                  ->next_msg;
-      }
-    }
-
     // --- quota ledger ----------------------------------------------------
     // Messages enqueued while the circuit was unlimited carry no charge
     // and set_admission never recharges, so the recomputed cost is an
@@ -415,7 +376,6 @@ InvariantReport InvariantOracle::check(const Facility& f, bool quiescent) {
     std::uint32_t journaled_blocks = 0;
     std::uint32_t journaled_slabs = 0;
     std::uint32_t parked_senders = 0;
-    std::uint32_t parked_receivers = 0;
     for (ProcessId p = 0; p < h.max_processes; ++p) {
       detail::ProcSlot& ps = f.pslot(p);
       if (ps.q_active.load(std::memory_order_acquire) != 0 &&
@@ -436,15 +396,6 @@ InvariantReport InvariantOracle::check(const Facility& f, bool quiescent) {
                      format_u64(d.park_next_ticket));
         }
       }
-      if (ps.rpark_active.load(std::memory_order_seq_cst) != 0 &&
-          ps.rpark_lnvc.load(std::memory_order_relaxed) == uid &&
-          ps.rpark_gen.load(std::memory_order_relaxed) == d.generation) {
-        ++parked_receivers;
-        if (ps.rpark_ticket.load(std::memory_order_relaxed) >=
-            d.rpark_next_ticket) {
-          c.fail(Invariant::parking, id, p, "rpark ticket out of range");
-        }
-      }
     }
     if (d.used_blocks > fifo_blocks + journaled_blocks) {
       c.fail(Invariant::ledger, id,
@@ -462,34 +413,19 @@ InvariantReport InvariantOracle::check(const Facility& f, bool quiescent) {
       c.fail(Invariant::ledger, id, "high-water mark below used");
     }
 
-    // --- park/rpark: counters vs. membership -----------------------------
+    // --- park: counter vs. membership -----------------------------------
     // A waiter decrements the counter after clearing its membership flag,
     // so live the counter is an upper bound; at rest both must be zero.
     const std::uint32_t pw = d.park_waiters.load(std::memory_order_seq_cst);
-    const std::uint32_t rw = d.rpark_waiters.load(std::memory_order_seq_cst);
     if (pw < parked_senders) {
       c.fail(Invariant::parking, id,
              "park_waiters " + format_u64(pw) + " < " +
                  format_u64(parked_senders) + " parked members");
     }
-    if (rw < parked_receivers) {
+    if (quiescent && (parked_senders != 0 || pw != 0)) {
       c.fail(Invariant::parking, id,
-             "rpark_waiters " + format_u64(rw) + " < " +
-                 format_u64(parked_receivers) + " parked members");
-    }
-    if (quiescent) {
-      if (parked_senders != 0 || pw != 0) {
-        c.fail(Invariant::parking, id,
-               "parked senders at quiescence (" +
-                   format_u64(parked_senders) + " members, waiters " +
-                   format_u64(pw) + ")");
-      }
-      if (parked_receivers != 0 || rw != 0) {
-        c.fail(Invariant::parking, id,
-               "parked receivers at quiescence (" +
-                   format_u64(parked_receivers) + " members, waiters " +
-                   format_u64(rw) + ")");
-      }
+             "parked senders at quiescence (" + format_u64(parked_senders) +
+                 " members, waiters " + format_u64(pw) + ")");
     }
     self->platform_->unlock(d.lock);
   }
@@ -595,8 +531,7 @@ InvariantReport InvariantOracle::check(const Facility& f, bool quiescent) {
         c.fail(Invariant::quiescence, kInvalidLnvc, p,
                "refill batch still in the hand-off window");
       }
-      if (ps.park_active.load(std::memory_order_acquire) != 0 ||
-          ps.rpark_active.load(std::memory_order_acquire) != 0) {
+      if (ps.park_active.load(std::memory_order_acquire) != 0) {
         c.fail(Invariant::quiescence, kInvalidLnvc, p,
                "process still parked");
       }

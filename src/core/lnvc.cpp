@@ -100,355 +100,6 @@ void Facility::probe_release(detail::LnvcDesc& d, ProcessId pid) {
   if (d.prober == static_cast<std::uint32_t>(pid) + 1) d.prober = 0;
 }
 
-void Facility::update_fast_state(detail::LnvcDesc& d) {
-  // Descriptor lock held.  Every structural change a cached fast-path
-  // validation depends on funnels through here: the epoch bump invalidates
-  // every ProcSlot::fast_seen cache, and receive_any uses the same word as
-  // its snapshot-refresh trigger.
-  const std::uint64_t old = d.fast_state.load(std::memory_order_relaxed);
-  const bool eligible = header_->lockfree_fcfs != 0 && d.in_use != 0 &&
-                        d.n_bcast == 0 && d.quota_blocks == 0 &&
-                        d.quota_slabs == 0;
-  const std::uint64_t epoch = (old >> 1) + 1;
-  d.fast_state.store((epoch << 1) | (eligible ? 1 : 0),
-                     std::memory_order_seq_cst);
-  if ((old & 1) != 0 && !eligible) {
-    // Eligibility dropped: parked receivers are waiting for fast-path
-    // wakes that will no longer come.  Kick them all so they migrate to
-    // the cond path (or observe close/destroy).
-    rpark_wake(d, d.generation, /*all=*/true);
-  } else if ((old & 1) == 0 && eligible) {
-    // Eligibility rose: receivers blocked on the cond path would never be
-    // notified by fast sends.  Wake them so they migrate to the park path.
-    platform_->notify_all(d.cond);
-  }
-}
-
-void Facility::rpark_wake(detail::LnvcDesc& d, std::uint32_t gen, bool all) {
-  // Lock-free head-by-scan over the parked-receiver FIFO, mirroring the
-  // quota park FIFO: wake the smallest live ticket (or everyone).  Waking
-  // a process that already left (or died) is harmless — the epoch bump is
-  // absorbed by its next prepare().
-  if (d.rpark_waiters.load(std::memory_order_seq_cst) == 0) return;
-  const auto id32 = static_cast<std::uint32_t>(&d - table());
-  ProcessId best = kNoProcess;
-  std::uint64_t best_ticket = 0;
-  for (ProcessId p = 0; p < header_->max_processes; ++p) {
-    detail::ProcSlot& q = pslot(p);
-    if (q.rpark_active.load(std::memory_order_seq_cst) == 0) continue;
-    if (q.rpark_lnvc.load(std::memory_order_relaxed) != id32 ||
-        q.rpark_gen.load(std::memory_order_relaxed) != gen) {
-      continue;
-    }
-    if (all) {
-      platform_->unpark(q.park_node);
-      header_->wakes.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    const std::uint64_t t = q.rpark_ticket.load(std::memory_order_relaxed);
-    if (best == kNoProcess || t < best_ticket) {
-      best = p;
-      best_ticket = t;
-    }
-  }
-  if (!all && best != kNoProcess) {
-    platform_->unpark(pslot(best).park_node);
-    header_->wakes.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void Facility::drain_injection(detail::LnvcDesc& d) {
-  // Descriptor lock held.  Splice the injection stack into the FIFO in
-  // push order.  The stack chain (inject_next) is left intact until the
-  // cut at the end: a drainer dying mid-splice leaves every message still
-  // reachable from inject_head, and repair_lnvc truncates the chain above
-  // the already-settled suffix.
-  const shm::Offset snap = d.inject_head.load(std::memory_order_seq_cst);
-  if (snap == shm::kNullOffset) return;
-  std::vector<detail::MsgHeader*> nodes;  // newest first
-  for (shm::Offset at = snap; at != shm::kNullOffset;) {
-    auto* m = static_cast<detail::MsgHeader*>(arena_.raw(at));
-    nodes.push_back(m);
-    at = m->inject_next;
-  }
-  for (std::size_t k = nodes.size(); k-- > 0;) {
-    detail::MsgHeader* m = nodes[k];
-    const shm::Offset off = arena_.ref_of(m).off;
-    if (m->inject_gen != d.generation) {
-      // Residual from a previous circuit on this slot: its push raced
-      // destroy + reuse.  It must not enter this circuit's FIFO; park it
-      // on the orphan list (linked via next_msg — it is in no FIFO) for
-      // its sender's reconcile path or reaper.  Residuals predate every
-      // current-generation push, so they form the deepest suffix and the
-      // settled-suffix invariant holds.
-      m->next_msg = d.orphan_head;
-      d.orphan_head = off;
-      continue;
-    }
-    // Publication receipt BEFORE the link: once inject_drained covers the
-    // stamp, the sender's journal resolves as "delivered" — which is true
-    // the instant we commit to splicing (a crash between receipt and link
-    // leaves the message on the uncut stack, and the next drain finishes
-    // the job).
-    {
-      detail::ProcSlot& sp = pslot(m->src_pid);
-      std::uint64_t cur = sp.inject_drained.load(std::memory_order_relaxed);
-      while (cur < m->inject_stamp &&
-             !sp.inject_drained.compare_exchange_weak(
-                 cur, m->inject_stamp, std::memory_order_acq_rel)) {
-      }
-    }
-    // Assign exactly what a locked enqueue would have.
-    m->next_msg = shm::kNullOffset;
-    m->seq = d.seq_counter++;
-    m->bcast_remaining.store(d.n_bcast, std::memory_order_relaxed);
-    m->fcfs_consumed = (header_->reclaim_broadcast_only != 0 &&
-                        d.n_fcfs == 0 && d.n_bcast > 0)
-                           ? 1
-                           : 0;
-    m->pins = 0;
-    if (d.msg_tail) {
-      arena_.get(d.msg_tail)->next_msg = off;
-    } else {
-      d.msg_head = shm::Ref<detail::MsgHeader>{off};
-    }
-    d.msg_tail = shm::Ref<detail::MsgHeader>{off};
-    if (m->fcfs_consumed == 0) {
-      ++d.n_queued;
-      if (!d.fcfs_head) d.fcfs_head = shm::Ref<detail::MsgHeader>{off};
-    }
-    if (d.n_bcast > 0) {
-      // A BROADCAST receiver opened after this push (eligibility has
-      // already dropped, but stacked messages predate the drain): at-tail
-      // cursors now point here.
-      shm::Offset c_off = d.connections.off;
-      while (c_off != shm::kNullOffset) {
-        auto* conn = static_cast<detail::Connection*>(arena_.raw(c_off));
-        if (conn->is_bcast() && conn->bcast_head == shm::kNullOffset) {
-          conn->bcast_head = off;
-        }
-        c_off = conn->next;
-      }
-    }
-    if (d.quota_blocks != 0 || d.quota_slabs != 0) {
-      // A quota set after the push raced it: charge the drained message so
-      // the ledger stays an invariant of the FIFO (quota_release pays it
-      // back when the message leaves).
-      d.used_blocks += m->nblocks;
-      if (d.used_blocks > d.hw_blocks) d.hw_blocks = d.used_blocks;
-    }
-    ++d.total_msgs;
-    d.total_bytes += m->length;
-  }
-  // Cut the settled suffix off the stack.  New pushes may have prepended
-  // above our snapshot; their links into the snapshot node are interior
-  // and stable under the lock.
-  shm::Offset expect = snap;
-  if (!d.inject_head.compare_exchange_strong(expect, shm::kNullOffset,
-                                             std::memory_order_seq_cst)) {
-    shm::Offset at = expect;
-    for (;;) {
-      auto* n = static_cast<detail::MsgHeader*>(arena_.raw(at));
-      if (n->inject_next == snap) {
-        n->inject_next = shm::kNullOffset;
-        break;
-      }
-      at = n->inject_next;
-    }
-  }
-}
-
-bool Facility::unlink_injected(detail::LnvcDesc& d, shm::Offset msg_off) {
-  // Descriptor lock held.  The head entry may gain new pushes above it
-  // concurrently, so removing the head is a CAS; interior links and the
-  // orphan list only change under the lock.
-  auto* m = static_cast<detail::MsgHeader*>(arena_.raw(msg_off));
-  shm::Offset head = d.inject_head.load(std::memory_order_seq_cst);
-  if (head == msg_off) {
-    shm::Offset expect = msg_off;
-    if (d.inject_head.compare_exchange_strong(expect, m->inject_next,
-                                              std::memory_order_seq_cst)) {
-      return true;
-    }
-    head = expect;  // a push landed above; fall through to interior unlink
-  }
-  for (shm::Offset at = head; at != shm::kNullOffset;) {
-    auto* n = static_cast<detail::MsgHeader*>(arena_.raw(at));
-    if (n->inject_next == msg_off) {
-      n->inject_next = m->inject_next;
-      return true;
-    }
-    at = n->inject_next;
-  }
-  for (shm::Offset* link = &d.orphan_head; *link != shm::kNullOffset;
-       link = &static_cast<detail::MsgHeader*>(arena_.raw(*link))->next_msg) {
-    if (*link == msg_off) {
-      *link = m->next_msg;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool Facility::fast_send(ProcessId pid, detail::LnvcDesc& d, LnvcId id,
-                         std::span<const ConstBuffer> iov, std::size_t len,
-                         std::uint64_t deadline_ns, Status* out) {
-  detail::ProcSlot& ps = pslot(pid);
-  if (ps.fast_lnvc != static_cast<std::uint32_t>(id) + 1) return false;
-  const std::uint64_t fs = d.fast_state.load(std::memory_order_seq_cst);
-  if (fs != ps.fast_seen || (fs & 1) == 0) {
-    ps.fast_lnvc = 0;  // structure moved; the next locked send re-validates
-    return false;
-  }
-  // The cached proof: when fast_state last equalled fast_seen under the
-  // lock, this process held a send connection on this generation and the
-  // circuit had no BROADCAST receivers and no quota.  Every structural
-  // change bumps the (monotonic, ABA-free) epoch, so an equal word here
-  // means all of that still holds.
-  const std::size_t need = blocks_for(len, header_->block_payload);
-  shm::Offset msg_off = shm::kNullOffset;
-  shm::Offset chain = shm::kNullOffset;
-  shm::Offset chain_tail = shm::kNullOffset;
-  const Status alloc_status = alloc_message(pid, need, ps.node, &msg_off,
-                                            &chain, &chain_tail, deadline_ns);
-  if (alloc_status != Status::ok) {
-    if (alloc_status == Status::timed_out) {
-      header_->sends_timed_out.fetch_add(1, std::memory_order_relaxed);
-    }
-    reap_if_dead(pid, kNoProcess);
-    *out = alloc_status;
-    return true;
-  }
-  // Build the message exactly as the locked path would (chain only: the
-  // fast path never carries slabs).
-  auto* m = ::new (arena_.raw(msg_off)) detail::MsgHeader();
-  m->length = static_cast<std::uint32_t>(len);
-  m->nblocks = static_cast<std::uint32_t>(need);
-  m->first_block = chain;
-  m->last_block = chain_tail;
-  m->flags = 0;
-  m->next_msg = shm::kNullOffset;
-  {
-    detail::Block* b = nullptr;
-    std::byte* bp = nullptr;
-    std::size_t room = 0;
-    shm::Offset b_off = chain;
-    for (const ConstBuffer& io : iov) {
-      const auto* src = static_cast<const std::byte*>(io.data);
-      std::size_t left = io.len;
-      while (left > 0) {
-        if (room == 0) {
-          b = static_cast<detail::Block*>(arena_.raw(b_off));
-          bp = b->data();
-          room = header_->block_payload;
-          b_off = b->next;
-        }
-        const std::size_t chunk = std::min(room, left);
-        std::memcpy(bp, src, chunk);
-        bp += chunk;
-        src += chunk;
-        room -= chunk;
-        left -= chunk;
-      }
-    }
-  }
-  platform_->on_buffer_alloc(sizeof(detail::MsgHeader) +
-                             need * (sizeof(detail::Block) +
-                                     header_->block_payload));
-  platform_->charge_copy_nodes(len, need, ps.node,
-                               node_of_offset(m->first_block), ps.node);
-  platform_->touch(len);
-  // Claims (seq, bcast_remaining, fcfs_consumed) are assigned at drain
-  // time by whoever holds the lock; until then the message carries its
-  // crash-resolution provenance.
-  m->pins = 0;
-  m->src_pid = pid;
-  m->inject_gen = ps.fast_gen;
-  const std::uint64_t stamp = ++ps.inject_seq;
-  m->inject_stamp = stamp;
-  // Arm the journal at stage 2 (armed-for-inject): operands first, then
-  // the stamp, then the stage store.  A reaper resolves stage 2 via the
-  // stamp protocol — inject_drained >= stamp proves the push published and
-  // drained; otherwise a stack/orphan walk under the lock answers
-  // pushed-or-not (recovery.cpp).
-  detail::GatherChain gc;
-  gc.head = chain;
-  gc.tail = chain_tail;
-  gc.count = need;
-  journal_enqueue(pid, id, ps.fast_gen, msg_off, gc);
-  ps.j_inject_stamp = stamp;
-  journal_stage(pid, 2);
-  // Linearization point: publish onto the injection stack.
-  shm::Offset top = d.inject_head.load(std::memory_order_relaxed);
-  do {
-    m->inject_next = top;
-  } while (!d.inject_head.compare_exchange_weak(top, msg_off,
-                                                std::memory_order_seq_cst,
-                                                std::memory_order_relaxed));
-  if (d.fast_state.load(std::memory_order_seq_cst) != fs) {
-    // Rare: a structural change (close / destroy / quota / new BROADCAST
-    // receiver) raced the push.  Settle under the lock.
-    ps.fast_lnvc = 0;
-    alock_lnvc(d, pid);
-    if (d.in_use != 0 && d.generation == ps.fast_gen &&
-        find_conn(d, pid, /*sender=*/true) != nullptr) {
-      // Still connected: the push stands.  Drain now so claims and the
-      // quota ledger settle under this lock before the journal clears.
-      drain_injection(d);
-      platform_->unlock(d.lock);
-      journal_clear(pid);
-      header_->sends.fetch_add(1, std::memory_order_relaxed);
-      header_->bytes_sent.fetch_add(len, std::memory_order_relaxed);
-      header_->lockfree_fast_sends.fetch_add(1, std::memory_order_relaxed);
-      platform_->notify_all(d.cond);
-      rpark_wake(d, ps.fast_gen, /*all=*/false);
-      pollset_signal(d);
-      park_ripple(d);
-      if (header_->activity_waiters.load(std::memory_order_acquire) > 0) {
-        alock(header_->activity_lock, pid);
-        platform_->unlock(header_->activity_lock);
-        platform_->notify_all(header_->activity_cond);
-      }
-      reap_if_dead(pid, kNoProcess);
-      *out = Status::ok;
-      return true;
-    }
-    // Our connection closed (or the circuit died) under the push.  The
-    // message must not outlive it: unlink and roll back if it is still on
-    // the stack or orphan list; if a drain beat us, the push linearized
-    // before the close and the message was delivered (or destroyed with
-    // the circuit) — either way it is no longer ours.
-    const bool unlinked = unlink_injected(d, msg_off);
-    platform_->unlock(d.lock);
-    journal_clear(pid);
-    if (unlinked) {
-      m->next_msg = shm::kNullOffset;
-      free_message(pid, m);
-    }
-    reap_if_dead(pid, kNoProcess);
-    *out = Status::closed;
-    return true;
-  }
-  journal_clear(pid);
-  header_->sends.fetch_add(1, std::memory_order_relaxed);
-  header_->bytes_sent.fetch_add(len, std::memory_order_relaxed);
-  header_->lockfree_fast_sends.fetch_add(1, std::memory_order_relaxed);
-  // Hand the baton to exactly one parked receiver.  The seq_cst CAS above
-  // and the seq_cst peek inside rpark_wake pair with the receiver's
-  // register-then-recheck (Dekker): either we see its registration or it
-  // sees our push.
-  rpark_wake(d, ps.fast_gen, /*all=*/false);
-  pollset_signal(d);
-  if (header_->activity_waiters.load(std::memory_order_acquire) > 0) {
-    alock(header_->activity_lock, pid);
-    platform_->unlock(header_->activity_lock);
-    platform_->notify_all(header_->activity_cond);
-  }
-  reap_if_dead(pid, kNoProcess);
-  *out = Status::ok;
-  return true;
-}
-
 Status Facility::quota_admit(ProcessId pid, detail::LnvcDesc& d, LnvcId id,
                              std::uint32_t need_blocks,
                              std::uint32_t need_slabs,
@@ -677,15 +328,6 @@ Status Facility::send_impl(ProcessId pid, LnvcId id,
                          len >= header_->slab_threshold &&
                          len <= header_->slab_bytes;
   const std::size_t need_chain = blocks_for(len, header_->block_payload);
-
-  // Two-tier delivery (DESIGN.md §12): when this sender's cached locked
-  // validation still covers the circuit, publish with one CAS and touch no
-  // lock at all.  Slab messages stay on the locked path (the extent pick
-  // wants the connection list).
-  if (header_->lockfree_fcfs != 0 && !want_slab) {
-    Status fast = Status::ok;
-    if (fast_send(pid, *d, id, iov, len, deadline_ns, &fast)) return fast;
-  }
 
   // Validate the connection before paying for allocation and copy-in.
   alock_lnvc(*d, pid);
@@ -919,9 +561,6 @@ Status Facility::send_impl(ProcessId pid, LnvcId id,
     reap_if_dead(pid, kNoProcess);
     return Status::closed;
   }
-  // Per-sender FIFO: any of our own earlier fast pushes still on the
-  // injection stack must enter the FIFO before this locked message.
-  if (header_->lockfree_fcfs != 0) drain_injection(*d);
   m->seq = d->seq_counter++;
   // Delivery claims (design §3 of DESIGN.md): every BROADCAST receiver
   // connected now must read it; the FCFS sub-stream keeps a claim unless
@@ -964,19 +603,6 @@ Status Facility::send_impl(ProcessId pid, LnvcId id,
   pslot(pid).q_active.store(0, std::memory_order_release);
   ++d->total_msgs;
   d->total_bytes += len;
-  // Fill (or invalidate) this sender's fast-path cache under the lock: the
-  // fast_state word read here proves exactly what the fast path needs.
-  if (header_->lockfree_fcfs != 0) {
-    detail::ProcSlot& ps = pslot(pid);
-    const std::uint64_t fsnow = d->fast_state.load(std::memory_order_relaxed);
-    if (!slab && (fsnow & 1) != 0) {
-      ps.fast_lnvc = static_cast<std::uint32_t>(id) + 1;
-      ps.fast_gen = generation;
-      ps.fast_seen = fsnow;
-    } else if (ps.fast_lnvc == static_cast<std::uint32_t>(id) + 1) {
-      ps.fast_lnvc = 0;
-    }
-  }
   // A message nobody will ever deliver (no receivers under the reclaim
   // option) is dropped immediately rather than leaked.
   if (m->fcfs_consumed != 0 &&
@@ -991,9 +617,6 @@ Status Facility::send_impl(ProcessId pid, LnvcId id,
   if (slab) header_->slab_sends.fetch_add(1, std::memory_order_relaxed);
   platform_->notify_all(d->cond);
   pollset_signal(*d);
-  // Receivers parked on the lock-free claim path listen on their wait
-  // nodes, not on d->cond; a locked send must promote one of them too.
-  if (header_->lockfree_fcfs != 0) rpark_wake(*d, generation, /*all=*/false);
   // The undeliverable-reclaim above may have freed quota; pass the baton.
   park_ripple(*d);
   if (header_->activity_waiters.load(std::memory_order_acquire) > 0) {
@@ -1047,12 +670,12 @@ Status Facility::receive_any_impl(ProcessId pid, std::span<const LnvcId> ids,
   if (pid >= header_->max_processes) return Status::invalid_argument;
   // Hoisted connection snapshot (one row per listed circuit): the locked
   // find_conn walk happens once up front and again only when a circuit's
-  // fast_state epoch says its structure actually changed.  A spurious
+  // struct_epoch says its structure actually changed.  A spurious
   // activity wakeup over 1k circuits then re-probes with one lock and two
   // loads each instead of 1k connection-list walks.
   struct Probe {
     detail::LnvcDesc* d = nullptr;
-    std::uint64_t fs = 0;                 ///< fast_state at snapshot
+    std::uint64_t epoch = 0;              ///< struct_epoch at snapshot
     shm::Offset conn = shm::kNullOffset;  ///< our receive connection
     bool fcfs = false;
     bool ready = false;
@@ -1067,7 +690,7 @@ Status Facility::receive_any_impl(ProcessId pid, std::span<const LnvcId> ids,
   const auto refresh = [&](std::size_t i) -> Status {
     Probe& p = probes[i];
     header_->any_rescans.fetch_add(1, std::memory_order_relaxed);
-    p.fs = p.d->fast_state.load(std::memory_order_relaxed);
+    p.epoch = p.d->struct_epoch.load(std::memory_order_relaxed);
     if (p.d->in_use == 0) return Status::no_such_lnvc;
     detail::Connection* c = find_conn(*p.d, pid, /*sender=*/false);
     if (c == nullptr) return Status::not_connected;
@@ -1082,9 +705,8 @@ Status Facility::receive_any_impl(ProcessId pid, std::span<const LnvcId> ids,
     p.ready = false;
     p.orphaned = false;
     alock_lnvc(*p.d, pid);
-    if (header_->lockfree_fcfs != 0) drain_injection(*p.d);
     if (p.conn == shm::kNullOffset ||
-        p.d->fast_state.load(std::memory_order_relaxed) != p.fs) {
+        p.d->struct_epoch.load(std::memory_order_relaxed) != p.epoch) {
       const Status s = refresh(i);
       if (s != Status::ok) {
         platform_->unlock(p.d->lock);
@@ -1217,7 +839,6 @@ Status Facility::claim_message(ProcessId pid, LnvcId id, bool blocking,
   detail::MsgHeader* m = nullptr;
   bool bcast = false;
   bool waited = false;
-  bool parked_woken = false;
   WaitRecord rec(*this, pid);
   for (;;) {
     if (rec.doomed()) {
@@ -1226,9 +847,6 @@ Status Facility::claim_message(ProcessId pid, LnvcId id, bool blocking,
       reap_if_dead(pid, kNoProcess);
       return Status::deadlock;
     }
-    // Lock-free sends park their messages on the injection stack; make
-    // them deliverable before probing the heads.
-    if (header_->lockfree_fcfs != 0) drain_injection(*d);
     detail::Connection* conn = find_conn(*d, pid, /*sender=*/false);
     if (conn == nullptr) {
       platform_->unlock(d->lock);
@@ -1266,11 +884,6 @@ Status Facility::claim_message(ProcessId pid, LnvcId id, bool blocking,
       }
     }
     if (m != nullptr) break;
-    if (parked_woken) {
-      // Woken from a park but another claimant got there first.
-      header_->spurious_wakes.fetch_add(1, std::memory_order_relaxed);
-      parked_woken = false;
-    }
     if (!blocking) {
       platform_->unlock(d->lock);
       reap_if_dead(pid, kNoProcess);
@@ -1286,76 +899,7 @@ Status Facility::claim_message(ProcessId pid, LnvcId id, bool blocking,
     }
     waited = true;
     if (timeout_ns == 0) rec.arm(detail::WaitKind::receive, id, generation);
-    const bool use_park =
-        header_->lockfree_fcfs != 0 && conn->is_fcfs() &&
-        (d->fast_state.load(std::memory_order_relaxed) & 1) != 0;
-    if (use_park) {
-      // Fast-eligible circuit: sleep on our wait node instead of d->cond,
-      // so a lock-free sender can hand off without ever taking the lock.
-      detail::ProcSlot& ps = pslot(pid);
-      // Epoch snapshot BEFORE publishing park intent: any waker that sees
-      // our registration bumps the epoch, which park() then observes.
-      const std::uint32_t epoch = sync::Parker::prepare(ps.park_node);
-      ps.rpark_lnvc.store(static_cast<std::uint32_t>(id),
-                          std::memory_order_relaxed);
-      ps.rpark_gen.store(generation, std::memory_order_relaxed);
-      ps.rpark_ticket.store(d->rpark_next_ticket++,
-                            std::memory_order_relaxed);
-      d->rpark_waiters.fetch_add(1, std::memory_order_seq_cst);
-      ps.rpark_active.store(1, std::memory_order_seq_cst);
-      platform_->unlock(d->lock);
-      header_->parks.fetch_add(1, std::memory_order_relaxed);
-      // Bound the sleep by the caller's deadline and by the suspicion
-      // threshold: a dead sender (or a lost transition) must not park us
-      // forever — an un-woken expiry probes and self-heals below.
-      const std::uint64_t suspicion = header_->suspicion_ns;
-      std::uint64_t park_deadline = sync::kNoParkDeadline;
-      if (timeout_ns > 0) park_deadline = deadline;
-      if (suspicion != 0) {
-        const std::uint64_t cap_ns = platform_->now_ns() + suspicion;
-        if (cap_ns < park_deadline) park_deadline = cap_ns;
-      }
-      bool woken = true;
-      // Dekker re-check against a push racing our registration: the
-      // sender's seq_cst CAS either precedes our seq_cst store above (this
-      // load sees the message) or follows it (the sender's rpark peek sees
-      // us and wakes).
-      if (d->inject_head.load(std::memory_order_seq_cst) ==
-          shm::kNullOffset) {
-        woken = platform_->park(ps.park_node, epoch, park_deadline,
-                                header_->park_spin_ns);
-      }
-      ps.rpark_active.store(0, std::memory_order_seq_cst);
-      d->rpark_waiters.fetch_sub(1, std::memory_order_seq_cst);
-      parked_woken = woken;
-      alock_lnvc(*d, pid);
-      if (!woken) {
-        if (timeout_ns > 0 && platform_->now_ns() >= deadline) {
-          platform_->unlock(d->lock);
-          reap_if_dead(pid, kNoProcess);
-          return Status::timed_out;
-        }
-        if (suspicion != 0) {
-          // Same liveness sweep as the cond path: probe the senders and
-          // reap the first dead one ourselves.
-          ProcessId suspect = kNoProcess;
-          shm::Offset c_off = d->connections.off;
-          while (c_off != shm::kNullOffset) {
-            auto* sc = static_cast<detail::Connection*>(arena_.raw(c_off));
-            if (sc->is_sender() && !process_alive(sc->process_id)) {
-              suspect = sc->process_id;
-              break;
-            }
-            c_off = sc->next;
-          }
-          if (suspect != kNoProcess) {
-            platform_->unlock(d->lock);
-            reap_if_dead(pid, suspect);
-            alock_lnvc(*d, pid);
-          }
-        }
-      }
-    } else if (timeout_ns > 0) {
+    if (timeout_ns > 0) {
       const std::uint64_t now = platform_->now_ns();
       if (now >= deadline) {
         platform_->unlock(d->lock);
@@ -1415,13 +959,6 @@ Status Facility::claim_message(ProcessId pid, LnvcId id, bool blocking,
       reap_if_dead(pid, kNoProcess);
       return Status::closed;
     }
-  }
-  // Baton pass: if more messages are deliverable and more receivers are
-  // parked, the next claimant can start now instead of on the next send —
-  // one wake per successful claim, wakes ≈ claims under load.
-  if (header_->lockfree_fcfs != 0 && !bcast && d->fcfs_head &&
-      d->rpark_waiters.load(std::memory_order_seq_cst) > 0) {
-    rpark_wake(*d, generation, /*all=*/false);
   }
   // Claimed: hand the message (and the lock) back to the caller, which
   // pins it and journals its own covering record before unlocking.
@@ -1743,8 +1280,6 @@ Status Facility::check(ProcessId pid, LnvcId id, bool* out) {
     platform_->unlock(d->lock);
     return Status::not_connected;
   }
-  // Make lock-free pushes visible to the probe.
-  if (header_->lockfree_fcfs != 0) drain_injection(*d);
   if (conn->is_fcfs()) {
     // Advisory: another FCFS receiver may take the message first (§2).
     *out = static_cast<bool>(d->fcfs_head);

@@ -71,9 +71,7 @@ void Facility::pollset_signal(detail::LnvcDesc& d) {
 }
 
 bool Facility::pollset_ready_locked(detail::LnvcDesc& d) {
-  // Descriptor lock held.  Settle any lock-free pushes first so the
-  // deliverability answer covers them.
-  if (header_->lockfree_fcfs != 0) drain_injection(d);
+  // Descriptor lock held.
   for (const auto& p : d.pulses) {
     if (p.count != 0) return true;
   }
@@ -381,19 +379,10 @@ Status Facility::pollset_wait(ProcessId pid, PollSetId psid, LnvcId* out,
         ps_push(ps, a, m);  // level-triggered: undrained => ready next time
         continue;
       }
-      // Idle: re-arm so the next deliverable event pushes, then Dekker
-      // recheck — a lock-free sender that missed the arming published its
-      // message before our seq_cst store, so this load sees it.
+      // Idle: re-arm so the next deliverable event pushes.  Senders make
+      // an event deliverable under this lock and signal after unlocking,
+      // so one that missed the check above sees the arming.
       d.ready_armed.store(1, std::memory_order_seq_cst);
-      if (header_->lockfree_fcfs != 0 &&
-          d.inject_head.load(std::memory_order_seq_cst) != shm::kNullOffset &&
-          pollset_ready_locked(d)) {
-        d.ready_armed.store(0, std::memory_order_relaxed);
-        found = s1;
-        platform_->unlock(d.lock);
-        ps_push(ps, a, m);
-        continue;
-      }
       platform_->unlock(d.lock);
     }
     if (found != 0) {

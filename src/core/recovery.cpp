@@ -205,68 +205,6 @@ ProcessId Facility::await_for(sync::SpinLock& m, sync::EventCount& c,
 }
 
 void Facility::repair_lnvc(detail::LnvcDesc& d) {
-  if (header_->lockfree_fcfs != 0) {
-    // The dead holder may have been mid-drain: nodes it already settled —
-    // spliced into the FIFO or diverted to the orphan list — form the
-    // deepest suffix of the injection chain (drains work bottom-up), with
-    // the cut still pending.  Truncate the chain above the first settled
-    // node so the next drain cannot splice one twice.  Runs before the
-    // in_use check on purpose: a stack can carry residue for a dead slot.
-    const shm::Offset snap = d.inject_head.load(std::memory_order_seq_cst);
-    if (snap != shm::kNullOffset) {
-      std::vector<shm::Offset> settled;
-      if (d.in_use != 0) {
-        for (shm::Offset off = d.msg_head.off; off != shm::kNullOffset;) {
-          settled.push_back(off);
-          off = static_cast<const detail::MsgHeader*>(arena_.raw(off))
-                    ->next_msg;
-        }
-      }
-      for (shm::Offset off = d.orphan_head; off != shm::kNullOffset;) {
-        settled.push_back(off);
-        off = static_cast<const detail::MsgHeader*>(arena_.raw(off))->next_msg;
-      }
-      auto is_settled = [&settled](shm::Offset off) {
-        for (const shm::Offset s : settled) {
-          if (s == off) return true;
-        }
-        return false;
-      };
-      shm::Offset prev = shm::kNullOffset;
-      shm::Offset first_settled = shm::kNullOffset;
-      for (shm::Offset at = snap; at != shm::kNullOffset;) {
-        if (is_settled(at)) {
-          first_settled = at;
-          break;
-        }
-        prev = at;
-        at = static_cast<const detail::MsgHeader*>(arena_.raw(at))
-                 ->inject_next;
-      }
-      if (first_settled != shm::kNullOffset) {
-        if (prev != shm::kNullOffset) {
-          static_cast<detail::MsgHeader*>(arena_.raw(prev))->inject_next =
-              shm::kNullOffset;
-        } else {
-          // The whole visible chain is settled; cut at the head.  A lost
-          // CAS means fresh pushes stacked above — cut below the newest
-          // unsettled node instead.
-          shm::Offset expect = first_settled;
-          if (!d.inject_head.compare_exchange_strong(
-                  expect, shm::kNullOffset, std::memory_order_seq_cst)) {
-            for (shm::Offset at = expect; at != shm::kNullOffset;) {
-              auto* m = static_cast<detail::MsgHeader*>(arena_.raw(at));
-              if (m->inject_next == first_settled) {
-                m->inject_next = shm::kNullOffset;
-                break;
-              }
-              at = m->inject_next;
-            }
-          }
-        }
-      }
-    }
-  }
   // The holder died somewhere inside its critical section.  Every queue
   // mutation keeps msg_head and the per-message links authoritative (a
   // half-linked tail message is reachable from the head before the tail
@@ -385,35 +323,7 @@ void Facility::resolve_journal(ProcessId reaper, detail::ProcSlot& ps,
     }
 
     case detail::JournalOp::enqueue: {
-      bool rollback = ps.stage == 0;
-      if (ps.stage == 2) {
-        // Armed fast push (lockfree_fcfs).  The receipt counter decides:
-        // a drain CAS-maxes inject_drained past the armed stamp the
-        // moment it commits to splicing, so a covered stamp means
-        // delivered (even if the drainer then crashed before linking —
-        // the message stayed on the uncut stack and the next drain
-        // finished the splice).  Uncovered, the message is either still
-        // on the stack / orphan list (published, undrained: unlink and
-        // roll back) or nowhere (died before the CAS: the operands still
-        // describe it).
-        if (ps.inject_drained.load(std::memory_order_acquire) <
-            ps.j_inject_stamp) {
-          detail::LnvcDesc* d = slot(static_cast<LnvcId>(ps.lnvc_id));
-          if (d != nullptr) {
-            alock_lnvc(*d, reaper);
-            // A drain may have raced us to the receipt before we locked.
-            if (ps.inject_drained.load(std::memory_order_acquire) <
-                ps.j_inject_stamp) {
-              unlink_injected(*d, ps.msg);
-              rollback = true;
-            }
-            platform_->unlock(d->lock);
-          } else {
-            rollback = true;
-          }
-        }
-      }
-      if (rollback) {
+      if (ps.stage == 0) {
         // The built message is unreachable to every receiver: its blocks
         // and header roll back.
         if (ps.chain_count > 0) {
@@ -660,15 +570,10 @@ Status Facility::reap(ProcessId reaper, ProcessId pid) {
         continue;
       }
       reclaim(reaper, d);
-      // The reaped connection invalidates cached fast-path validations
-      // (a departed BROADCAST receiver may even restore eligibility).
-      update_fast_state(d);
+      d.struct_epoch.fetch_add(1, std::memory_order_relaxed);
       // Blocked receivers must reconsider: their sender may be gone
       // (lnvc_orphaned) or a released claim may have freed a message.
       platform_->notify_all(d.cond);
-      if (header_->lockfree_fcfs != 0) {
-        rpark_wake(d, d.generation, /*all=*/true);
-      }
     }
     platform_->unlock(d.lock);
   }
@@ -764,28 +669,6 @@ Status Facility::reap(ProcessId reaper, ProcessId pid) {
       park_ripple(*pd);
     }
   }
-  if (ps.rpark_active.exchange(0, std::memory_order_acq_rel) != 0) {
-    // Died parked on a lock-free FCFS claim.  Clearing the membership
-    // flag removes the corpse from every head-by-scan; the waiter count
-    // it contributed must follow, and if a sender's single wake landed on
-    // the corpse, the baton passes to the next live claimant here.
-    detail::LnvcDesc* rd = slot(static_cast<LnvcId>(
-        ps.rpark_lnvc.load(std::memory_order_relaxed)));
-    if (rd != nullptr) {
-      alock_lnvc(*rd, reaper);
-      if (rd->rpark_waiters.load(std::memory_order_acquire) > 0) {
-        rd->rpark_waiters.fetch_sub(1, std::memory_order_acq_rel);
-      }
-      if (rd->in_use != 0) {
-        if (header_->lockfree_fcfs != 0) drain_injection(*rd);
-        if (rd->fcfs_head &&
-            rd->rpark_waiters.load(std::memory_order_seq_cst) > 0) {
-          rpark_wake(*rd, rd->generation, /*all=*/false);
-        }
-      }
-      platform_->unlock(rd->lock);
-    }
-  }
   alock(header_->blocks_lock, reaper);
   platform_->unlock(header_->blocks_lock);
   platform_->notify_all(header_->blocks_cond);
@@ -851,14 +734,9 @@ BlockAudit Facility::block_audit() const {
     a.blocks_cached += pc[p].block_count.load(std::memory_order_relaxed);
   }
   detail::LnvcDesc* t = table();
-  // Messages sitting on injection stacks / orphan lists: counted as queued
-  // here, and remembered so an armed stage-2 enqueue journal naming one of
-  // them contributes nothing (the storage is already on the books).
-  std::vector<shm::Offset> injected;
   for (std::uint32_t i = 0; i < header_->max_lnvcs; ++i) {
     detail::LnvcDesc& d = t[i];
     self->platform_->lock(d.lock);
-    std::vector<shm::Offset> in_fifo;
     if (d.in_use != 0) {
       shm::Offset off = d.msg_head.off;
       while (off != shm::kNullOffset) {
@@ -868,34 +746,7 @@ BlockAudit Facility::block_audit() const {
           ++a.slabs_queued;
         }
         a.blocks_queued += m->nblocks;
-        if (header_->lockfree_fcfs != 0) in_fifo.push_back(off);
         off = m->next_msg;
-      }
-    }
-    if (header_->lockfree_fcfs != 0) {
-      for (shm::Offset off = d.orphan_head; off != shm::kNullOffset;) {
-        const auto* m =
-            static_cast<const detail::MsgHeader*>(arena_.raw(off));
-        a.blocks_queued += m->nblocks;
-        injected.push_back(off);
-        off = m->next_msg;
-      }
-      for (shm::Offset off = d.inject_head.load(std::memory_order_seq_cst);
-           off != shm::kNullOffset;) {
-        const auto* m =
-            static_cast<const detail::MsgHeader*>(arena_.raw(off));
-        injected.push_back(off);
-        // A node both on the chain and in the FIFO (drainer died between
-        // splice and cut) is already counted by the FIFO walk above.
-        bool spliced = false;
-        for (const shm::Offset s : in_fifo) {
-          if (s == off) {
-            spliced = true;
-            break;
-          }
-        }
-        if (!spliced) a.blocks_queued += m->nblocks;
-        off = m->inject_next;
       }
     }
     self->platform_->unlock(d.lock);
@@ -949,23 +800,7 @@ BlockAudit Facility::block_audit() const {
       case detail::JournalOp::enqueue:
         // Stage 1 means the message is linked and counted as queued.
         // (A stage-0 slab message's extent is counted via ps.slab.)
-        if (ps.stage == 0) {
-          a.blocks_journaled += ps.chain_count;
-        } else if (ps.stage == 2 &&
-                   ps.inject_drained.load(std::memory_order_acquire) <
-                       ps.j_inject_stamp) {
-          // Armed fast push, receipt not issued: on a stack or orphan
-          // list it is already counted as queued; otherwise the process
-          // holds a fully built message that never published.
-          bool on_stack = false;
-          for (const shm::Offset s : injected) {
-            if (s == ps.msg) {
-              on_stack = true;
-              break;
-            }
-          }
-          if (!on_stack) a.blocks_journaled += ps.chain_count;
-        }
+        if (ps.stage == 0) a.blocks_journaled += ps.chain_count;
         break;
       case detail::JournalOp::copy_out:
         // An in-FIFO pinned message is counted as queued; a detached one

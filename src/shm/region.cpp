@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -28,12 +29,19 @@ std::size_t round_to_page(std::size_t bytes) {
 HeapRegion::HeapRegion(std::size_t bytes) {
   if (bytes == 0) throw std::invalid_argument("HeapRegion: zero size");
   size_ = bytes;
-  base_ = std::aligned_alloc(64, round_to_page(bytes));
-  if (base_ == nullptr) throw std::bad_alloc();
+  // Plain malloc, aligned by hand: aligned_alloc asks the allocator for
+  // alignment slack on top of the size, so a region freed and re-created at
+  // the same size does not fit its own freed chunk — glibc grows the heap
+  // instead and every re-creation page-faults a fresh arena.  A malloc of
+  // the same size reuses the freed chunk.
+  raw_ = std::malloc(bytes + 64);
+  if (raw_ == nullptr) throw std::bad_alloc();
+  base_ = reinterpret_cast<void*>(
+      (reinterpret_cast<std::uintptr_t>(raw_) + 63) & ~std::uintptr_t{63});
   std::memset(base_, 0, bytes);
 }
 
-HeapRegion::~HeapRegion() { std::free(base_); }
+HeapRegion::~HeapRegion() { std::free(raw_); }
 
 AnonSharedRegion::AnonSharedRegion(std::size_t bytes) {
   if (bytes == 0) throw std::invalid_argument("AnonSharedRegion: zero size");

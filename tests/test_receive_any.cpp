@@ -1,9 +1,12 @@
 // Multi-circuit blocking receive (receive_any / select).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "mpf/apps/coordination.hpp"
+#include "mpf/benchlib/simrun.hpp"
 #include "mpf/core/facility.hpp"
 #include "mpf/core/ports.hpp"
 #include "mpf/shm/region.hpp"
@@ -213,6 +216,75 @@ TEST_F(ReceiveAnyTest, RotationCursorPersistsAcrossCallsForFairness) {
   const std::vector<std::size_t> want = {0, 1, 0, 1, 0, 1};
   EXPECT_EQ(order, want);
   // Each circuit's own FIFO order was preserved while alternating.
+}
+
+/// Virtual-time sleep inside a simulated worker: a timed receive on a
+/// private circuit nobody sends to expires after exactly `ns`.
+void sim_sleep(Facility& f, ProcessId pid, LnvcId delay, std::uint64_t ns) {
+  char b[8];
+  std::size_t got = 0;
+  (void)f.receive_for(pid, delay, b, sizeof(b), &got, ns);
+}
+
+TEST(ReceiveAnySim, SnapshotHoistStopsRescanning) {
+  // 1000 circuits, one blocked receive_any: the first sweep builds the
+  // hoisted connection snapshot (one find_conn walk per circuit), and every
+  // later sweep of the same call — each spurious activity wakeup re-probes
+  // all 1000 — must re-walk zero connection lists.  Unrelated traffic on
+  // another circuit supplies the wakeups; message flow never bumps a
+  // circuit's structural epoch, only opens/closes/quota changes do.
+  constexpr std::size_t kCircuits = 1000;
+  constexpr int kNoise = 12;
+  Config c;
+  c.max_lnvcs = 1100;
+  c.max_processes = 4;
+  c.block_payload = 10;
+  c.message_blocks = 4096;
+  benchlib::run_sim(c, 2, [&](Facility f, int rank) {
+    const auto pid = static_cast<ProcessId>(rank);
+    if (rank == 0) {
+      std::vector<LnvcId> rx(kCircuits), tx(kCircuits);
+      for (std::size_t i = 0; i < kCircuits; ++i) {
+        const std::string name = "any." + std::to_string(i);
+        ASSERT_EQ(f.open_receive(pid, name, Protocol::fcfs, &rx[i]),
+                  Status::ok);
+        ASSERT_EQ(f.open_send(pid, name, &tx[i]), Status::ok);
+      }
+      apps::startup_barrier(f, pid, 2, "any.join");
+      const std::uint64_t before = f.stats().any_rescans;
+      char buf[64];
+      std::size_t len = 0, which = 0;
+      // One blocking call.  Each 1000-probe sweep costs ~3 virtual seconds,
+      // so the noise sends (spaced 1.5 s over ~18 s) land while this call
+      // is asleep on the activity cond and force genuine re-sweeps.
+      ASSERT_EQ(f.receive_any(pid, rx, buf, sizeof(buf), &len, &which),
+                Status::ok);
+      EXPECT_EQ(which, 123u);
+      ASSERT_EQ(len, 1u);
+      EXPECT_EQ(buf[0], 'R');
+      // The load-bearing assertion: exactly one rescan per circuit — the
+      // snapshot walk — no matter how many times noise re-swept the probes.
+      EXPECT_EQ(f.stats().any_rescans - before, kCircuits);
+    } else {
+      LnvcId noise_tx = kInvalidLnvc, noise_rx = kInvalidLnvc;
+      LnvcId real_tx = kInvalidLnvc, delay = kInvalidLnvc;
+      ASSERT_EQ(f.open_receive(pid, "noise", Protocol::fcfs, &noise_rx),
+                Status::ok);
+      ASSERT_EQ(f.open_send(pid, "noise", &noise_tx), Status::ok);
+      ASSERT_EQ(f.open_send(pid, "any.123", &real_tx), Status::ok);
+      ASSERT_EQ(f.open_receive(pid, "any.delay", Protocol::fcfs, &delay),
+                Status::ok);
+      apps::startup_barrier(f, pid, 2, "any.join");
+      char msg = 'n';
+      for (int i = 0; i < kNoise; ++i) {
+        sim_sleep(f, pid, delay, 1'500'000'000);
+        ASSERT_EQ(f.send(pid, noise_tx, &msg, 1), Status::ok);
+      }
+      sim_sleep(f, pid, delay, 2'000'000'000);
+      msg = 'R';
+      ASSERT_EQ(f.send(pid, real_tx, &msg, 1), Status::ok);
+    }
+  });
 }
 
 }  // namespace

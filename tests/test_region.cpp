@@ -5,6 +5,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstring>
 
 #include "mpf/shm/arena.hpp"
@@ -17,6 +18,7 @@ using namespace mpf::shm;
 TEST(Region, HeapBasics) {
   HeapRegion region(4096);
   EXPECT_NE(region.base(), nullptr);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(region.base()) % 64, 0u);
   EXPECT_EQ(region.size(), 4096u);
   EXPECT_FALSE(region.process_shared());
   std::memset(region.base(), 0xab, region.size());

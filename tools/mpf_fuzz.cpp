@@ -48,7 +48,6 @@ FuzzParams shrink(FuzzParams p, const FuzzResult& first) {
   if (p.ops <= 0) p.ops = first.ops;
   if (p.max_kills < 0) p.max_kills = first.max_kills;
   if (p.max_pauses < 0) p.max_pauses = first.max_pauses;
-  if (p.lockfree < 0) p.lockfree = first.lockfree;
 
   auto try_set = [&](auto field, auto value) {
     FuzzParams cand = p;
@@ -137,8 +136,6 @@ int main(int argc, char** argv) {
       arg_int(&base.max_kills);
     } else if (std::strcmp(argv[i], "--pauses") == 0) {
       arg_int(&base.max_pauses);
-    } else if (std::strcmp(argv[i], "--lockfree") == 0) {
-      arg_int(&base.lockfree);
     } else if (std::strcmp(argv[i], "--opmask") == 0) {
       std::uint64_t v = 0;
       arg_u64(&v);
@@ -157,8 +154,8 @@ int main(int argc, char** argv) {
       std::fprintf(
           stderr,
           "usage: mpf_fuzz [--seed S] [--count N] [--procs P] [--rounds R] "
-          "[--ops K] [--kills M] [--pauses Q] [--lockfree 0|1] "
-          "[--opmask HEX] [--shrink] [--replay-check] [--ops-help]\n");
+          "[--ops K] [--kills M] [--pauses Q] [--opmask HEX] [--shrink] "
+          "[--replay-check] [--ops-help]\n");
       return 2;
     }
   }

@@ -212,32 +212,29 @@ void dump_parked(const mpf::Facility& facility) {
   const mpf::FacilityStats stats = facility.stats();
   std::printf(
       "parking: backend=%s, %llu parks, %llu wakes, %llu spurious, "
-      "%llu lock-free fast sends, %llu any rescans\n",
+      "%llu any rescans\n",
       mpf::sync::Parker::has_futex() ? "futex" : "fallback",
       static_cast<unsigned long long>(stats.parks),
       static_cast<unsigned long long>(stats.wakes),
       static_cast<unsigned long long>(stats.spurious_wakes),
-      static_cast<unsigned long long>(stats.lockfree_fast_sends),
       static_cast<unsigned long long>(stats.any_rescans));
   const auto parked = facility.parked_infos();
   if (parked.empty()) {
-    std::printf("no parked processes\n");
+    std::printf("no parked senders\n");
     return;
   }
-  std::printf("%5s %4s %9s %10s %11s %6s\n", "pid", "lnvc", "role", "ticket",
+  std::printf("%5s %4s %10s %11s %6s\n", "pid", "lnvc", "ticket",
               "node_epoch", "alive");
   for (const auto& p : parked) {
-    std::printf("%5u %4d %9s %10llu %11u %6s\n", p.pid, p.id,
-                p.receiver ? "receiver" : "sender",
+    std::printf("%5u %4d %10llu %11u %6s\n", p.pid, p.id,
                 static_cast<unsigned long long>(p.ticket), p.node_epoch,
                 p.alive ? "yes" : "NO");
   }
   // Per-circuit parked counts round out the picture.
   for (const auto& info : facility.lnvc_infos()) {
-    if (info.parked == 0 && info.parked_receivers == 0) continue;
-    std::printf("lnvc %d (%s): %u parked senders, %u parked receivers\n",
-                info.id, info.name.c_str(), info.parked,
-                info.parked_receivers);
+    if (info.parked == 0) continue;
+    std::printf("lnvc %d (%s): %u parked senders\n", info.id,
+                info.name.c_str(), info.parked);
   }
 }
 
@@ -294,8 +291,8 @@ int main(int argc, char** argv) {
                  "placement counters\n"
                  "  --quotas     report per-LNVC admission quotas, ledger "
                  "occupancy and parked senders\n"
-                 "  --parked     report parked processes (quota senders + "
-                 "lock-free FCFS receivers) and wait-node state\n"
+                 "  --parked     report quota-parked senders and their "
+                 "wait-node state\n"
                  "  --names      report name-directory bucket occupancy, "
                  "chain histogram and pollset/pulse counters\n"
                  "  --reap pid   run the recovery sweep for a dead "
